@@ -108,8 +108,7 @@ class Reader {
   template <typename T>
   T ReadPod() {
     static_assert(std::is_trivially_copyable_v<T>);
-    LINSYS_ASSERT(pos_ + sizeof(T) <= bytes_.size(),
-                  "snapshot truncated or corrupt");
+    LINSYS_ASSERT(sizeof(T) <= remaining(), "snapshot truncated or corrupt");
     T value;
     std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
@@ -117,13 +116,15 @@ class Reader {
   }
 
   void ReadBytes(void* out, std::size_t len) {
-    LINSYS_ASSERT(pos_ + len <= bytes_.size(),
-                  "snapshot truncated or corrupt");
+    // Compared against what is left, not as pos_ + len, so a corrupt
+    // length near SIZE_MAX cannot wrap past the check.
+    LINSYS_ASSERT(len <= remaining(), "snapshot truncated or corrupt");
     std::memcpy(out, bytes_.data() + pos_, len);
     pos_ += len;
   }
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
+  std::size_t remaining() const { return bytes_.size() - pos_; }
   DedupMode mode() const { return mode_; }
 
   // Shared-node reconstruction: restored Rc handles, keyed by copy-id. The

@@ -42,6 +42,20 @@ concept Checkpointable = requires(const T& value, Writer& w, Reader& r) {
   { Traits<T>::Load(r) } -> std::same_as<T>;
 };
 
+namespace internal {
+
+// A container's element count, read from an untrusted image. Every element
+// encodes to at least one byte, so a count above the bytes left is corrupt:
+// refused here as a PanicError (which a Domain contains) before it can size
+// an allocation and throw bad_alloc or length_error instead.
+inline std::uint64_t ReadCount(Reader& r) {
+  const auto n = r.ReadPod<std::uint64_t>();
+  LINSYS_ASSERT(n <= r.remaining(), "snapshot length prefix exceeds its bytes");
+  return n;
+}
+
+}  // namespace internal
+
 // ---- Scalars --------------------------------------------------------------
 
 template <typename T>
@@ -60,7 +74,7 @@ struct Traits<std::string> {
     w.WriteBytes(s.data(), s.size());
   }
   static std::string Load(Reader& r) {
-    const auto n = r.ReadPod<std::uint64_t>();
+    const auto n = internal::ReadCount(r);
     std::string s(n, '\0');
     r.ReadBytes(s.data(), n);
     return s;
@@ -78,7 +92,7 @@ struct Traits<std::vector<T>> {
     }
   }
   static std::vector<T> Load(Reader& r) {
-    const auto n = r.ReadPod<std::uint64_t>();
+    const auto n = internal::ReadCount(r);
     std::vector<T> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
@@ -115,7 +129,7 @@ struct Traits<std::map<K, V>> {
     }
   }
   static std::map<K, V> Load(Reader& r) {
-    const auto n = r.ReadPod<std::uint64_t>();
+    const auto n = internal::ReadCount(r);
     std::map<K, V> m;
     for (std::uint64_t i = 0; i < n; ++i) {
       m.insert(Traits<std::pair<K, V>>::Load(r));
@@ -134,7 +148,7 @@ struct Traits<std::unordered_map<K, V>> {
     }
   }
   static std::unordered_map<K, V> Load(Reader& r) {
-    const auto n = r.ReadPod<std::uint64_t>();
+    const auto n = internal::ReadCount(r);
     std::unordered_map<K, V> m;
     m.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {

@@ -488,27 +488,6 @@ class BasicRssDispatcher {
     return moved_items;
   }
 
-  // Victim selection: the worker (≠ self) with the deepest queue, if its
-  // depth reaches `min_depth`. (net::Runtime weighs depth by each worker's
-  // measured service time instead; this depth-only flavour remains for
-  // callers without service estimates.)
-  std::optional<std::size_t> MostLoadedOther(std::size_t self,
-                                             std::size_t min_depth) const {
-    std::optional<std::size_t> best;
-    std::size_t best_depth = min_depth == 0 ? 1 : min_depth;
-    for (std::size_t w = 0; w < queues_.size(); ++w) {
-      if (w == self) {
-        continue;
-      }
-      const std::size_t depth = queues_[w]->size();
-      if (depth >= best_depth) {
-        best = w;
-        best_depth = depth + 1;  // strictly deeper to replace
-      }
-    }
-    return best;
-  }
-
   // Queue-depth spread across workers (max - min), the imbalance signal the
   // stealing loop and the obs gauge both read.
   std::size_t QueueImbalance() const {
@@ -535,7 +514,6 @@ class BasicRssDispatcher {
   }
 
   std::size_t worker_count() const { return queues_.size(); }
-  bool stealing_enabled() const { return stealing_; }
 
   // Number of Dispatch() calls — i.e. input batches steered. (This used to
   // count per-worker sub-batches, which over-reported by up to worker_count

@@ -103,9 +103,6 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
            config.stealing.enabled || config.ckpt.enabled) {
   LINSYS_ASSERT(config_.frame_len >= kPayloadOffset + kFlowSeqBytes,
                 "frame_len too small for the per-flow sequence stamp");
-  LINSYS_ASSERT(!config_.ckpt.enabled || config_.isolated,
-                "live checkpointing needs isolated pipelines (stage state is "
-                "captured through the per-stage domains)");
   // One shard per worker: worker w only ever touches cell w, so the packet
   // path is contention-free and Stats() can report per-worker values.
   const std::size_t shards = config_.workers;
@@ -218,25 +215,21 @@ Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
     workers_.push_back(std::make_unique<Worker>(w, config_));
     Worker& worker = *workers_.back();
     for (const StageSpec& stage : spec) {
-      if (config_.isolated) {
-        // Every worker replica gets its own domain per stage; the name
-        // carries the shard so fault logs identify the replica.
-        worker.isolated.AddStage(
-            stage.name + "@w" + std::to_string(w),
-            [make = stage.make, w] { return make(w); }, stage.degrade);
-      } else {
-        worker.direct.AddStage(stage.make(w));
-      }
+      // Every worker replica gets its own domain per stage; the name
+      // carries the shard so fault logs identify the replica.
+      worker.pipeline.AddStage(
+          stage.name + "@w" + std::to_string(w),
+          [make = stage.make, w] { return make(w); }, stage.degrade);
     }
-    if (config_.isolated && config_.schedule.fused()) {
-      worker.isolated.ApplySchedule(partition);
+    if (config_.schedule.fused()) {
+      worker.pipeline.ApplySchedule(partition);
     }
-    if (config_.isolated && config_.supervision.probation_cooldown_batches > 0) {
-      worker.isolated.SetProbation(config_.supervision.probation_cooldown_batches,
+    if (config_.supervision.probation_cooldown_batches > 0) {
+      worker.pipeline.SetProbation(config_.supervision.probation_cooldown_batches,
                                    config_.supervision.probation_cooldown_max);
       // Probe outcomes land in per-worker counter shards; the per-stage
       // split comes from StageHealth in Stats().
-      worker.isolated.SetProbeObserver([this, w](bool ok) {
+      worker.pipeline.SetProbeObserver([this, w](bool ok) {
         if (ok) {
           telemetry_.unquarantines->Inc(w);
         } else {
@@ -330,13 +323,11 @@ std::string Runtime::HealthzJson() {
   const bool accepting = accepting_.load(std::memory_order_acquire);
   std::size_t quarantined = 0;
   std::size_t failed = 0;
-  if (config_.isolated) {
-    for (const auto& w : workers_) {
-      std::lock_guard<std::mutex> lock(w->mu);
-      failed += w->isolated.FailedStages();
-      for (std::size_t i = 0; i < w->isolated.length(); ++i) {
-        quarantined += w->isolated.health(i).quarantined ? 1 : 0;
-      }
+  for (const auto& w : workers_) {
+    std::lock_guard<std::mutex> lock(w->mu);
+    failed += w->pipeline.FailedStages();
+    for (std::size_t i = 0; i < w->pipeline.length(); ++i) {
+      quarantined += w->pipeline.health(i).quarantined ? 1 : 0;
     }
   }
   // "ok" degrades to "degraded" while any stage replica is quarantined or
@@ -791,73 +782,53 @@ void Runtime::ProcessFlows(Worker& w, FlowBatch flows) {
   }
   const std::size_t n = batch.size();
 
-  if (config_.isolated) {
-    // Always-on latency sample: two cycle reads per *sub-batch*, amortized
-    // over its packets — not on the per-call path Figure 2 measures.
-    const std::uint64_t t0 = util::CycleStart();
-    std::unique_lock<std::mutex> lock(w.mu);
-    const std::uint64_t qdrop_before = w.isolated.QuarantineDropPkts();
-    auto result = w.isolated.Run(std::move(batch));
-    const std::uint64_t qdrop_delta =
-        w.isolated.QuarantineDropPkts() - qdrop_before;
-    lock.unlock();
-    const std::uint64_t batch_cycles = util::CycleEnd() - t0;
-    telemetry_.batch_cycles->RecordWithExemplar(w.index, batch_cycles,
-                                                flows.flow_id());
-    // Feed the per-worker service estimate steal-victim scoring reads
-    // (alpha 1/8; single writer — this worker).
-    const std::uint64_t ewma =
-        w.service_ewma_cycles.load(std::memory_order_relaxed);
-    w.service_ewma_cycles.store(
-        ewma == 0 ? batch_cycles : ewma - ewma / 8 + batch_cycles / 8,
-        std::memory_order_relaxed);
-    if (!result.ok()) {
-      // The in-flight batch was reclaimed during unwinding (still on this
-      // thread, still this worker's pool). kFault = a fresh panic, worth
-      // waking the supervisor; kDomainFailed = still waiting on recovery;
-      // kQuarantined = a fail-fast stage, nothing left to recover.
-      telemetry_.drops->Add(w.index, n);
-      if (result.error() == sfi::CallError::kFault) {
-        telemetry_.faults->Inc(w.index);
-        NotifyFault();
-      }
-      return;
-    }
-    PacketBatch out = std::move(result).value();
-    // A quarantined kDrop stage returns Ok(empty): mirror its drop count
-    // into the shard counter so conservation (packets + drops ==
-    // materialized) still holds under degradation.
-    if (qdrop_delta > 0) {
-      telemetry_.drops->Add(w.index, qdrop_delta);
-    }
-    telemetry_.packets->Add(w.index, out.size());
-    telemetry_.batches->Inc(w.index);
-    // Delivery: the SLO clock that started in Dispatch stops here. Always
-    // on — queue wait, checkpoint pauses, and any steal/failover migration
-    // this batch lived through are all inside this number, which is exactly
-    // why it is the client-visible quantity.
-    RecordDelivery(w, flows);
-  } else {
-    try {
-      const std::uint64_t t0 = util::CycleStart();
-      PacketBatch out = w.direct.Run(std::move(batch));
-      const std::uint64_t batch_cycles = util::CycleEnd() - t0;
-      telemetry_.batch_cycles->Record(w.index, batch_cycles);
-      const std::uint64_t ewma =
-          w.service_ewma_cycles.load(std::memory_order_relaxed);
-      w.service_ewma_cycles.store(
-          ewma == 0 ? batch_cycles : ewma - ewma / 8 + batch_cycles / 8,
-          std::memory_order_relaxed);
-      telemetry_.packets->Add(w.index, out.size());
-      telemetry_.batches->Inc(w.index);
-      RecordDelivery(w, flows);
-    } catch (const util::PanicError&) {
-      // The direct flavour has no containment: the batch died mid-stage
-      // and there is no domain to recover, only telemetry to keep.
-      telemetry_.drops->Add(w.index, n);
+  // Always-on latency sample: two cycle reads per *sub-batch*, amortized
+  // over its packets — not on the per-call path Figure 2 measures.
+  const std::uint64_t t0 = util::CycleStart();
+  std::unique_lock<std::mutex> lock(w.mu);
+  const std::uint64_t qdrop_before = w.pipeline.QuarantineDropPkts();
+  auto result = w.pipeline.Run(std::move(batch));
+  const std::uint64_t qdrop_delta =
+      w.pipeline.QuarantineDropPkts() - qdrop_before;
+  lock.unlock();
+  const std::uint64_t batch_cycles = util::CycleEnd() - t0;
+  telemetry_.batch_cycles->RecordWithExemplar(w.index, batch_cycles,
+                                              flows.flow_id());
+  // Feed the per-worker service estimate steal-victim scoring reads
+  // (alpha 1/8; single writer — this worker).
+  const std::uint64_t ewma =
+      w.service_ewma_cycles.load(std::memory_order_relaxed);
+  w.service_ewma_cycles.store(
+      ewma == 0 ? batch_cycles : ewma - ewma / 8 + batch_cycles / 8,
+      std::memory_order_relaxed);
+  if (!result.ok()) {
+    // The in-flight batch was reclaimed during unwinding (still on this
+    // thread, still this worker's pool). kFault = a fresh panic, worth
+    // waking the supervisor; kDomainFailed = still waiting on recovery;
+    // kQuarantined = a fail-fast stage, nothing left to recover.
+    telemetry_.drops->Add(w.index, n);
+    if (result.error() == sfi::CallError::kFault) {
       telemetry_.faults->Inc(w.index);
+      NotifyFault();
     }
+    return;
   }
+  PacketBatch out = std::move(result).value();
+  // A quarantined kDrop stage returns Ok(empty): mirror its drop count
+  // into the shard counter so conservation (packets + drops ==
+  // materialized) still holds under degradation.
+  if (qdrop_delta > 0) {
+    telemetry_.drops->Add(w.index, qdrop_delta);
+  }
+  // Delivery: the SLO clock that started in Dispatch stops here. Always
+  // on — queue wait, checkpoint pauses, and any steal/failover migration
+  // this batch lived through are all inside this number, which is exactly
+  // why it is the client-visible quantity. Recorded before the packet
+  // count moves, so a scrape that waits on the count finds this batch's
+  // samples in place (program order only: the counters are relaxed).
+  RecordDelivery(w, flows);
+  telemetry_.packets->Add(w.index, out.size());
+  telemetry_.batches->Inc(w.index);
 }
 
 bool Runtime::RecoveryPass() {
@@ -868,12 +839,12 @@ bool Runtime::RecoveryPass() {
     // The worker's pipeline mutex serializes recovery against Run, so
     // rrefs are never replaced under a caller's feet.
     std::lock_guard<std::mutex> wlock(w->mu);
-    const std::size_t recovered = w->isolated.RecoverFailedStages(
+    const std::size_t recovered = w->pipeline.RecoverFailedStages(
         config_.supervision.max_recovery_attempts);
     if (recovered > 0) {
       telemetry_.recoveries->Add(w->index, recovered);
     }
-    if (w->isolated.FailedStages() > 0) {
+    if (w->pipeline.FailedStages() > 0) {
       still_failed = true;  // a recovery fn panicked — re-queue for backoff
     }
   }
@@ -961,10 +932,10 @@ void Runtime::SupervisorMain() {
     // Quarantine probation rides the supervisor cadence: a quarantined
     // stage whose cool-down has elapsed gets a fresh domain and one probe
     // batch; the probe's outcome (in Pipeline::Run) settles it.
-    if (config_.isolated && config_.supervision.probation_cooldown_batches > 0) {
+    if (config_.supervision.probation_cooldown_batches > 0) {
       for (auto& w : workers_) {
         std::lock_guard<std::mutex> wlock(w->mu);
-        (void)w->isolated.ProbeQuarantined();
+        (void)w->pipeline.ProbeQuarantined();
       }
     }
 
@@ -1001,7 +972,7 @@ std::uint64_t Runtime::MaybeCaptureCheckpoint(Worker& w) {
   img.index = w.index;
   {
     std::lock_guard<std::mutex> lock(w.mu);
-    img.stages = w.isolated.CheckpointStages();
+    img.stages = w.pipeline.CheckpointStages();
   }
   const std::uint64_t pause = util::CycleEnd() - t0;
   // Always-on: the pause is the checkpoint's whole cost story, and epochs
@@ -1166,13 +1137,13 @@ bool Runtime::FailoverWorker(std::size_t victim) {
   for (const WorkerCkptImage& wi : ckpt_state_->primary().workers) {
     if (wi.index == victim) {
       std::lock_guard<std::mutex> lock(v.mu);
-      const std::uint64_t mismatches_before = v.isolated.restore_mismatches();
-      (void)v.isolated.RestoreStages(wi.stages);
+      const std::uint64_t mismatches_before = v.pipeline.restore_mismatches();
+      (void)v.pipeline.RestoreStages(wi.stages);
       // Name-keyed restore refuses (and counts) images whose stage the
       // pipeline does not have — surface that as a runtime counter so a
       // schedule/shape drift between checkpoint and restore is visible.
       const std::uint64_t refused =
-          v.isolated.restore_mismatches() - mismatches_before;
+          v.pipeline.restore_mismatches() - mismatches_before;
       if (refused > 0) {
         telemetry_.ckpt_restore_mismatches->Add(refused);
       }
@@ -1254,12 +1225,12 @@ RuntimeStats Runtime::Stats() const {
     s.mempool_in_use += pool.in_use;
     s.mempool_in_use_hwm = std::max(s.mempool_in_use_hwm, pool.in_use_hwm);
     s.mempool_alloc_failures += pool.alloc_failures;
-    if (config_.isolated) {
+    {
       // Per-stage health lives behind the worker mutex (it is plain state
       // shared by Run and the supervisor).
       std::lock_guard<std::mutex> lock(w->mu);
-      for (std::size_t i = 0; i < w->isolated.length(); ++i) {
-        const StageHealth h = w->isolated.health(i);
+      for (std::size_t i = 0; i < w->pipeline.length(); ++i) {
+        const StageHealth h = w->pipeline.health(i);
         t.recovery_panics += h.recovery_panics;
         t.quarantined += h.quarantined ? 1 : 0;
         StageTelemetry& st = s.stages[i];

@@ -267,9 +267,9 @@ struct PacedRxConfig {
 };
 
 // Live checkpointing & failover (Runtime::CheckpointLive/FailoverWorker).
-// Requires `isolated` pipelines; arming it also arms the dispatcher's
-// migration table (failover re-homes flows through it) even with stealing
-// off.
+// Stage state is captured through each worker's protection domains.
+// Arming it also arms the dispatcher's migration table (failover re-homes
+// flows through it) even with stealing off.
 struct CkptConfig {
   bool enabled = false;
   // Backup replicas behind the runtime snapshot (ckpt::ReplicatedState).
@@ -286,12 +286,11 @@ struct RuntimeConfig {
   std::size_t pool_capacity = 4096;   // per-worker mempool slots
   std::size_t buf_size = 2048;
   std::uint16_t frame_len = 64;
-  bool isolated = true;               // IsolatedPipeline vs direct Pipeline
   // How the stage chain maps onto protection domains (src/net/schedule.h).
   // Default: interpreted, one domain per stage. Resolved once against the
   // spec (honouring StageSpec::isolate marks) and applied to every worker's
-  // replica before traffic. Ignored for direct (non-isolated) pipelines,
-  // which are always fully fused by construction.
+  // replica before traffic. A fuse-all schedule runs the whole chain in one
+  // domain: one crossing per batch, the near-direct cost point.
   PipelineSchedule schedule;
   SupervisionConfig supervision;
   StealConfig stealing;
@@ -541,8 +540,7 @@ class Runtime {
     std::size_t index = 0;
     Mempool pool;
     sfi::DomainManager mgr;
-    IsolatedPipeline isolated{&mgr};
-    Pipeline direct;
+    IsolatedPipeline pipeline{&mgr};
     // Serializes pipeline use (worker thread) against stage recovery and
     // health snapshots (supervisor thread, Stats). Uncontended on the fast
     // path: the supervisor only takes it on its periodic wakes.

@@ -18,7 +18,6 @@
 #define LINSYS_SRC_SFI_CHANNEL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -34,8 +33,7 @@ namespace sfi {
 // Tri-state receive outcome. kEmpty means "nothing *right now*" — the
 // channel is still open and a later receive may succeed; kClosed means the
 // channel is closed AND drained, so no receive will ever succeed again. A
-// spin-polling consumer (e.g. a work-stealing worker loop) terminates on
-// kClosed and keeps polling on kEmpty.
+// consumer draining a queue without blocking stops on either.
 enum class RecvStatus { kValue, kEmpty, kClosed };
 
 template <typename T>
@@ -116,8 +114,8 @@ class Channel {
   }
 
   // Non-blocking tri-state receive (see RecvStatus). Does not fire the
-  // channel.recv fault point: the stealing loop calls this at high frequency
-  // and an every-Nth plan would alias with the blocking path's schedule.
+  // channel.recv fault point, so a drain loop never perturbs an every-Nth
+  // plan aimed at the blocking path.
   template <typename OnPop>
   TryRecvResult<T> TryRecv(OnPop&& on_pop) {
     std::unique_lock<std::mutex> lock(mu_);
@@ -130,27 +128,6 @@ class Channel {
 
   TryRecvResult<T> TryRecv() {
     return TryRecv([](const T&) {});
-  }
-
-  // Timed tri-state receive: parks up to `timeout`, returns kEmpty on
-  // timeout. Lets an idle worker sleep between steal attempts without
-  // missing a close.
-  template <typename Rep, typename Period, typename OnPop>
-  TryRecvResult<T> RecvFor(std::chrono::duration<Rep, Period> timeout,
-                           OnPop&& on_pop) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait_for(lock, timeout,
-                        [this] { return closed_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      return TryRecvResult<T>{closed_ ? RecvStatus::kClosed : RecvStatus::kEmpty,
-                              std::nullopt};
-    }
-    return TryRecvResult<T>{RecvStatus::kValue, PopLocked(lock, on_pop)};
-  }
-
-  template <typename Rep, typename Period>
-  TryRecvResult<T> RecvFor(std::chrono::duration<Rep, Period> timeout) {
-    return RecvFor(timeout, [](const T&) {});
   }
 
   // Work-stealing hook: runs `fn(queue)` with the queue under the channel

@@ -1,6 +1,7 @@
 #include "src/util/bench_json.h"
 
 #include <cstdio>
+#include <thread>
 
 #ifndef LINSYS_GIT_REV
 #define LINSYS_GIT_REV "unknown"
@@ -45,7 +46,9 @@ std::string JsonEscape(const std::string& s) {
 
 }  // namespace
 
-BenchReport::BenchReport(std::string name) : name_(std::move(name)) {}
+BenchReport::BenchReport(std::string name) : name_(std::move(name)) {
+  AddLabel("host_cores", std::to_string(std::thread::hardware_concurrency()));
+}
 
 void BenchReport::AddLabel(std::string key, std::string value) {
   labels_.emplace_back(std::move(key), std::move(value));

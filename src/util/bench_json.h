@@ -6,12 +6,14 @@
 // revision the build was configured from, the build flags that matter for
 // comparability (checked-ownership mode), free-form labels, and a metrics
 // map whose values are either scalars or full util::Samples summaries.
+// Every report carries a host_cores label (std::thread::hardware_concurrency,
+// 0 when unknown): thread-scaling numbers mean nothing without it.
 //
 // Shape:
 //   {
 //     "bench": "fig2_isolation",
 //     "git_rev": "f720f9e",
-//     "labels": {"checked": "1", ...},
+//     "labels": {"host_cores": "4", "checked": "1", ...},
 //     "metrics": {
 //       "overhead_per_call_b32": 95.3,
 //       "isolated_cycles_b32": {"n":2000,"mean":...,"p50":...,...}

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/lin/arc.h"
@@ -220,6 +222,49 @@ TEST(Snapshot, TrailingBytesPanics) {
   Snapshot snap = Checkpoint(7);
   snap.bytes.push_back(0xff);
   EXPECT_THROW((void)Restore<int>(snap), util::PanicError);
+}
+
+// A checkpointed empty container whose length prefix is overwritten: the
+// image an attacker or a bit flip hands to Restore.
+template <typename T>
+Snapshot WithLengthPrefix(std::uint64_t n) {
+  Snapshot snap = Checkpoint(T{});
+  EXPECT_EQ(snap.bytes.size(), sizeof(n));
+  std::memcpy(snap.bytes.data(), &n, sizeof(n));
+  return snap;
+}
+
+// Counts beyond the bytes left are refused as a PanicError (the only
+// exception a Domain contains) before they can size an allocation, which
+// would throw bad_alloc or length_error instead.
+TEST(Snapshot, OversizedLengthPrefixPanics) {
+  constexpr std::uint64_t kOne = 1;
+  for (const std::uint64_t n : {kOne << 40, kOne << 62}) {
+    EXPECT_THROW((void)Restore<std::string>(WithLengthPrefix<std::string>(n)),
+                 util::PanicError)
+        << n;
+    EXPECT_THROW(
+        (void)Restore<std::vector<int>>(WithLengthPrefix<std::vector<int>>(n)),
+        util::PanicError)
+        << n;
+    using Map = std::unordered_map<int, int>;
+    EXPECT_THROW((void)Restore<Map>(WithLengthPrefix<Map>(n)),
+                 util::PanicError)
+        << n;
+  }
+}
+
+TEST(Snapshot, ReadBytesLengthCannotWrapPastTheEnd) {
+  // An image whose first field is a byte count of SIZE_MAX, then one byte.
+  const std::uint64_t huge = SIZE_MAX;
+  Snapshot snap;
+  snap.bytes.resize(sizeof(huge) + 1);
+  std::memcpy(snap.bytes.data(), &huge, sizeof(huge));
+  Reader r(snap);
+  const auto len = static_cast<std::size_t>(r.ReadPod<std::uint64_t>());
+  char out[1];
+  // pos + len wraps to 7 and would pass a `pos + len <= size` check.
+  EXPECT_THROW(r.ReadBytes(out, len), util::PanicError);
 }
 
 TEST(Snapshot, SizeReflectsDedup) {

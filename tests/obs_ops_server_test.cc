@@ -458,6 +458,23 @@ TEST(OpsServerTest, DeltaDecompositionSumsToDeliveryAndProfileAttributes) {
   }
   std::uint64_t total_batches = 50;
 
+  // Wait until the workers have accounted for every batch dispatched so
+  // far. A delta scrape taken while a batch is between its delivery sample
+  // and its component samples would split that batch across two windows.
+  auto drain = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (std::chrono::steady_clock::now() < deadline) {
+      const net::RuntimeStats s = rt.Stats();
+      if (s.totals.packets + s.totals.drops + s.steer_dropped_items >=
+          total_batches * 16u) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  drain();
+
   // One measurement window: paced dispatch with a forced CheckpointLive +
   // FailoverWorker inside it, a /profile scrape mid-storm (first round
   // only), then a delta scrape that closes the window. The structural
@@ -510,19 +527,9 @@ TEST(OpsServerTest, DeltaDecompositionSumsToDeliveryAndProfileAttributes) {
       *profile_out = std::move(profile);
     }
 
-    // Let the workers account for every batch dispatched so far before
-    // closing the delta window.
+    // Close the delta window only once every batch is accounted for.
     total_batches += static_cast<std::uint64_t>(paced_batches.load());
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (std::chrono::steady_clock::now() < deadline) {
-      const net::RuntimeStats s = rt.Stats();
-      if (s.totals.packets + s.totals.drops + s.steer_dropped_items >=
-          total_batches * 16u) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    drain();
 
     const std::string delta = Get(sock, "/metrics/delta");
     ASSERT_EQ(StatusOf(delta), 200);
