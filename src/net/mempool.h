@@ -42,7 +42,11 @@ class Mempool {
   Mempool(std::size_t capacity, std::size_t buf_size)
       : buf_size_(buf_size),
         capacity_(capacity),
-        slab_(std::make_unique<std::uint8_t[]>(capacity * buf_size)) {
+        // Left uninitialised: every allocation path writes a whole frame
+        // before reading it (BuildFrame memsets, DeepCopyBatch memcpys), so
+        // zero-filling the slab only costs set-up time and resident memory.
+        slab_(std::make_unique_for_overwrite<std::uint8_t[]>(capacity *
+                                                             buf_size)) {
     free_list_.reserve(capacity);
     // Push in reverse so allocation order starts at slot 0 (ascending
     // addresses -> hardware-prefetcher-friendly batch sweeps).

@@ -1,36 +1,34 @@
 // Receive-side scaling (RSS): the NIC feature the DPDK simulator's users
-// expect — hash each packet's 5-tuple and steer it to one of N worker
-// queues, so one flow always lands on one worker (no cross-core flow state).
+// expect — hash each flow's 5-tuple and steer it to one of N worker queues,
+// so one flow always lands on one worker (no cross-core flow state).
 //
-// The handoff uses sfi::Channel, i.e. it is a zero-copy ownership transfer:
-// the dispatcher provably cannot touch a batch after steering it, which is
-// what makes lock-free per-worker flow tables sound (§3's argument applied
+// RssDispatcher steers FlowBatch — flow *descriptors* rather than packet
+// buffers — so packet memory is always allocated and freed on the worker
+// that owns the pool (see mempool.h's single-owner contract). The handoff
+// uses sfi::Channel, i.e. it is a zero-copy ownership transfer: the
+// dispatcher provably cannot touch a batch after steering it, which is what
+// makes lock-free per-worker flow tables sound (§3's argument applied
 // across threads instead of domains).
-//
-// BasicRssDispatcher is generic over the steered batch type: the classic
-// instantiation (RssDispatcher) steers PacketBatch, while net::Runtime
-// steers FlowBatch — flow *descriptors* rather than buffers — so that
-// packet memory is always allocated and freed on the worker that owns the
-// pool (see mempool.h's single-owner contract). Any batch type works if it
-// is movable, iterable, and its items expose Tuple().
 //
 // Dispatch may be called from multiple producer threads concurrently
 // (sfi::Channel is MPMC); the steering counters are relaxed atomics so the
 // telemetry stays exact under concurrent dispatch.
 //
-// Work stealing (optional, ctor flag): an idle worker may move whole flows
-// from a loaded peer's queue onto its own replica via Steal(). A
-// steal-migration table (flow key -> new home) is consulted on every later
-// dispatch of a stolen flow; a flow's queued items move wholesale and in
-// order, so per-flow FIFO and single-home flow state both survive the
-// migration (see DESIGN.md "Flow pinning vs. stealing").
+// Flow migration: an idle worker may move whole flows from a loaded peer's
+// queue onto its own replica via Steal(), and failover moves a worker's
+// queued flows to the survivors via RehomeWorker(). Both go through one
+// extraction routine (MoveFlows) and record each moved flow in a migration
+// table (flow key -> new home) that every later dispatch consults. A flow's
+// queued items move wholesale and in order, so per-flow FIFO and single-home
+// flow state both survive the migration (see DESIGN.md "Flow pinning vs.
+// work stealing").
 //
 // The table is published as an immutable sorted flat vector, republished by
-// the writers (Steal, EvictStaleMigrations) only while no Dispatch is in
-// flight — so the dispatch fast path reads it with no lock at all, and the
-// no-migration case costs one relaxed load per routed item. Entries carry
-// the dispatch epoch of their last steal and are evicted once stale and
-// quiescent, keeping the table bounded under flow churn.
+// the writers (Steal, RehomeWorker, EvictStaleMigrations) only while no
+// Dispatch is in flight — so the dispatch path reads it with no lock at
+// all, and the no-migration case costs one relaxed load per routed item.
+// Entries carry the dispatch epoch of their last move and are evicted once
+// stale and quiescent, keeping the table bounded under flow churn.
 #ifndef LINSYS_SRC_NET_RSS_H_
 #define LINSYS_SRC_NET_RSS_H_
 
@@ -48,35 +46,114 @@
 #include <vector>
 
 #include "src/lin/own.h"
-#include "src/net/batch.h"
 #include "src/net/headers.h"
 #include "src/sfi/channel.h"
 #include "src/util/panic.h"
 
 namespace net {
 
-template <typename Batch>
-class BasicRssDispatcher {
+// One unit of steered work: which flow, and its per-flow sequence number
+// (stamped into the frame payload so per-flow ordering is observable end to
+// end).
+struct FlowWork {
+  FiveTuple tuple;
+  std::uint64_t seq = 0;
+  // Seeded tuple hash, stamped once by the dispatcher's fan-out (which
+  // computes it anyway to route the item). The worker's pop-time publish
+  // and every queue scan reuse it instead of re-running FNV over the tuple
+  // bytes per item on the hot path.
+  std::uint64_t flow_key = 0;
+};
+
+// Batch of flow descriptors plus the stamps that follow it from dispatch to
+// delivery.
+class FlowBatch {
  public:
-  // What one Steal() moved: per-source-sub-batch slices (oldest first, each
-  // preserving its source's flow id), the distinct flow keys migrated, and
+  FlowBatch() = default;
+  explicit FlowBatch(std::size_t reserve) { work_.reserve(reserve); }
+
+  // An empty batch carrying this batch's five stamps: how fan-out, steal
+  // slices and failover re-homes start every batch they split off, so the
+  // stamps follow the work wherever it moves.
+  FlowBatch EmptyWithStamps() const {
+    FlowBatch b;
+    b.flow_id_ = flow_id_;
+    b.dispatch_tsc_ = dispatch_tsc_;
+    b.pop_tsc_ = pop_tsc_;
+    b.steal_cycles_ = steal_cycles_;
+    b.fence_cycles_ = fence_cycles_;
+    return b;
+  }
+
+  void Push(FlowWork w) { work_.push_back(w); }
+  std::size_t size() const { return work_.size(); }
+  bool empty() const { return work_.empty(); }
+
+  auto begin() { return work_.begin(); }
+  auto end() { return work_.end(); }
+  auto begin() const { return work_.begin(); }
+  auto end() const { return work_.end(); }
+
+  // Trace-correlation id assigned by Runtime::Dispatch (0 = unassigned).
+  // Every per-worker sub-batch inherits it, so the whole fan-out shares one
+  // async track.
+  std::uint64_t flow_id() const { return flow_id_; }
+  void set_flow_id(std::uint64_t id) { flow_id_ = id; }
+
+  // Dispatch-time cycle stamp (0 = unstamped), carried through fan-out,
+  // steal slices, and failover re-homing exactly like flow_id, so the
+  // delivery-side read measures true end-to-end latency — including queue
+  // wait and any migration the batch survived — not just pipeline time.
+  std::uint64_t dispatch_tsc() const { return dispatch_tsc_; }
+  void set_dispatch_tsc(std::uint64_t tsc) { dispatch_tsc_ = tsc; }
+
+  // Pop-time cycle stamp (0 = unstamped): when the batch's final home took
+  // it off a queue — handle->Take() on the owning worker, or steal
+  // completion for a stolen slice. Splits delivery latency into its queue
+  // (dispatch→pop) and service (pop→delivery) halves.
+  std::uint64_t pop_tsc() const { return pop_tsc_; }
+  void set_pop_tsc(std::uint64_t tsc) { pop_tsc_ = tsc; }
+
+  // Accumulated cycles this batch spent in steal transit (victim-queue scan
+  // + migration-table update + slice split) before its new home popped it.
+  // Additive: a twice-migrated slice carries both legs.
+  std::uint64_t steal_cycles() const { return steal_cycles_; }
+  void add_steal_cycles(std::uint64_t c) { steal_cycles_ += c; }
+
+  // Accumulated cycles the batch stalled behind a raised checkpoint fence
+  // (the capture pause taken between its pop and its processing).
+  std::uint64_t fence_cycles() const { return fence_cycles_; }
+  void add_fence_cycles(std::uint64_t c) { fence_cycles_ += c; }
+
+ private:
+  std::vector<FlowWork> work_;
+  std::uint64_t flow_id_ = 0;
+  std::uint64_t dispatch_tsc_ = 0;
+  std::uint64_t pop_tsc_ = 0;
+  std::uint64_t steal_cycles_ = 0;
+  std::uint64_t fence_cycles_ = 0;
+};
+
+class RssDispatcher {
+ public:
+  // What one Steal() or re-home took out of a queue: per-source-sub-batch
+  // slices in queue order (oldest first, each keeping its source's stamps)
+  // with the worker each one goes to, the distinct flow keys migrated, and
   // the item total.
-  struct StealResult {
-    std::vector<Batch> batches;
+  struct MoveResult {
+    std::vector<FlowBatch> batches;
+    std::vector<std::size_t> targets;  // batches[i] goes to worker targets[i]
     std::vector<std::uint64_t> keys;
     std::size_t items = 0;
   };
 
   // `queue_depth` bounds each worker channel (backpressure, like NIC ring
-  // sizes); 0 = unbounded. `stealing` arms the migration table and the
-  // steal/dispatch gate; leave it off and the hash-only fast path is
-  // unchanged.
-  explicit BasicRssDispatcher(std::size_t workers, std::size_t queue_depth = 64,
-                              bool stealing = false)
-      : seed_(0x5ca1ab1eULL), stealing_(stealing), per_worker_steered_(workers) {
+  // sizes); 0 = unbounded.
+  explicit RssDispatcher(std::size_t workers, std::size_t queue_depth = 64)
+      : seed_(0x5ca1ab1eULL), per_worker_steered_(workers) {
     LINSYS_ASSERT(workers > 0, "RSS needs at least one worker");
     for (std::size_t i = 0; i < workers; ++i) {
-      queues_.push_back(std::make_unique<sfi::Channel<Batch>>(queue_depth));
+      queues_.push_back(std::make_unique<sfi::Channel<FlowBatch>>(queue_depth));
     }
   }
 
@@ -86,24 +163,21 @@ class BasicRssDispatcher {
   // sub-batch; the refusal and its item count are recorded in
   // refused_sub_batches()/dropped_items() — never lost silently.
   //
-  // With stealing armed, routing must be atomic w.r.t. a Steal repointing a
-  // flow (an item routed with the old table but enqueued after the steal
-  // extracted the flow would land *behind* the migration and break per-flow
-  // FIFO). Instead of a per-dispatch shared_mutex, Dispatch announces
-  // itself in `active_dispatches_` and a Steal refuses to publish while any
-  // dispatch is in flight; the announcement is one uncontended RMW pair per
-  // *call*, and routing itself reads the published flat table lock-free.
-  // Only when a steal is mid-publish does a dispatch fall back to the steer
-  // lock and wait it out.
-  std::size_t Dispatch(Batch batch) {
+  // Routing must be atomic w.r.t. a writer repointing a flow (an item
+  // routed with the old table but enqueued after a steal extracted the flow
+  // would land *behind* the migration and break per-flow FIFO). Instead of
+  // a per-dispatch shared_mutex, Dispatch announces itself in
+  // `active_dispatches_` and a writer refuses to publish while any dispatch
+  // is in flight; the announcement is one uncontended RMW pair per *call*,
+  // and routing itself reads the published flat table lock-free. Only when
+  // a writer is mid-publish does a dispatch fall back to the steer lock and
+  // wait it out.
+  std::size_t Dispatch(FlowBatch batch) {
     dispatch_calls_.fetch_add(1, std::memory_order_relaxed);
-    if (!stealing_) {
-      return FanOut(std::move(batch));
-    }
-    // Dekker handshake with Steal: we announce, then check for a writer;
-    // the writer announces, then checks for us. Both sides seq_cst, so
-    // "both proceed" is impossible — either the steal sees our count and
-    // aborts, or we see its flag and serialize behind the steer lock.
+    // Dekker handshake with the writers: we announce, then check for a
+    // writer; the writer announces, then checks for us. Both sides seq_cst,
+    // so "both proceed" is impossible — either the writer sees our count
+    // and aborts, or we see its flag and serialize behind the steer lock.
     active_dispatches_.fetch_add(1, std::memory_order_seq_cst);
     if (steal_in_progress_.load(std::memory_order_seq_cst)) {
       active_dispatches_.fetch_sub(1, std::memory_order_release);
@@ -117,21 +191,16 @@ class BasicRssDispatcher {
     return FanOut(std::move(batch));
   }
 
-  // Which worker an item's flow maps to. Stable per flow between steals;
-  // a Steal() repoints every migrated flow atomically w.r.t. Dispatch.
-  // (Reads outside Dispatch take the steer lock when the table is
-  // non-empty; the answer reflects the migration table at call time.)
-  template <typename Item>
-  std::size_t WorkerFor(const Item& item) const {
-    return WorkerForTuple(item.Tuple());
-  }
+  // Which worker a flow maps to. Stable per flow between migrations; the
+  // answer reflects the migration table at call time (taking the steer lock
+  // only while the table is non-empty).
   std::size_t WorkerForTuple(const FiveTuple& tuple) const {
     const std::uint64_t key = FlowKey(tuple);
-    if (stealing_ && migrated_count_.load(std::memory_order_relaxed) > 0) {
-      std::shared_lock<std::shared_mutex> lock(steer_mu_);
-      return RouteKey(key);
+    if (migrated_count_.load(std::memory_order_relaxed) == 0) {
+      return HashHome(key);
     }
-    return HashHome(key);
+    std::shared_lock<std::shared_mutex> lock(steer_mu_);
+    return RouteKey(key);
   }
 
   // The flow key used by the migration table: the seeded 5-tuple hash. Two
@@ -139,19 +208,6 @@ class BasicRssDispatcher {
   // co-migrate — conservative, never order-breaking.
   std::uint64_t FlowKey(const FiveTuple& tuple) const {
     return tuple.Hash(seed_);
-  }
-
-  // Per-item key on hot scan paths: items that carry a fan-out-stamped
-  // cached key (FlowWork) hand it back for free; anything else falls back
-  // to hashing the tuple. Every queued item passed through FanOut, so the
-  // cache is always populated when present.
-  template <typename Item>
-  std::uint64_t ItemKey(const Item& item) const {
-    if constexpr (requires { item.flow_key(); }) {
-      return item.flow_key();
-    } else {
-      return FlowKey(item.Tuple());
-    }
   }
 
   // Work stealing. Moves every queued item of a chosen flow set from
@@ -166,7 +222,7 @@ class BasicRssDispatcher {
   // in-flight work, so the thief may process them immediately: older items
   // of those flows cannot exist anywhere else.
   //
-  // `commit` is called with the StealResult while the locks are still held;
+  // `commit` is called with the result while the locks are still held;
   // the thief uses it to publish the stolen keys as its own in-flight set
   // before anyone else can steal or route them.
   //
@@ -175,11 +231,10 @@ class BasicRssDispatcher {
   // — the steal quantum. Opportunistic only: a held steer lock or an
   // in-flight dispatch aborts the attempt (the thief parks and retries).
   template <typename ExcludedFn, typename CommitFn>
-  StealResult Steal(std::size_t victim, std::size_t thief,
-                    ExcludedFn&& excluded, CommitFn&& commit,
-                    double max_fraction = 0.5) {
-    StealResult result;
-    LINSYS_ASSERT(stealing_, "Steal() on a dispatcher built without stealing");
+  MoveResult Steal(std::size_t victim, std::size_t thief,
+                   ExcludedFn&& excluded, CommitFn&& commit,
+                   double max_fraction = 0.5) {
+    MoveResult result;
     LINSYS_ASSERT(victim < queues_.size() && thief < queues_.size() &&
                       victim != thief,
                   "bad steal worker indices");
@@ -195,21 +250,20 @@ class BasicRssDispatcher {
     if (!gate.clear()) {
       return result;  // a dispatch is mid-route; retry later
     }
-    queues_[victim]->WithQueueLocked([&](std::deque<lin::Own<Batch>>& q) {
+    queues_[victim]->WithQueueLocked([&](std::deque<lin::Own<FlowBatch>>& q) {
       if (q.empty()) {
         return;
       }
       const std::unordered_set<std::uint64_t> off = excluded();
-      // Pass 1: per-flow queued item counts in first-seen (oldest) order.
+      // Per-flow queued item counts in first-seen (oldest) order.
       std::vector<std::pair<std::uint64_t, std::size_t>> flows;
       std::unordered_map<std::uint64_t, std::size_t> flow_index;
       std::size_t total_items = 0;
       for (const auto& own : q) {
-        for (const auto& item : *own) {
-          const std::uint64_t key = ItemKey(item);
-          auto [it, fresh] = flow_index.try_emplace(key, flows.size());
+        for (const FlowWork& item : *own) {
+          auto [it, fresh] = flow_index.try_emplace(item.flow_key, flows.size());
           if (fresh) {
-            flows.emplace_back(key, 0);
+            flows.emplace_back(item.flow_key, 0);
           }
           ++flows[it->second].second;
           ++total_items;
@@ -234,69 +288,19 @@ class BasicRssDispatcher {
       if (chosen.empty()) {
         return;
       }
-      // Pass 2: extract the chosen flows' items from every sub-batch, in
-      // queue order, preserving each slice's source flow id for tracing.
-      std::deque<lin::Own<Batch>> rest;
-      for (auto& own : q) {
-        Batch source = own.Take();
-        Batch keep;
-        Batch take;
-        if constexpr (requires { keep.set_flow_id(source.flow_id()); }) {
-          keep.set_flow_id(source.flow_id());
-          take.set_flow_id(source.flow_id());
-        }
-        // The dispatch-time SLO stamp migrates with the slice: a stolen
-        // batch's delivery latency is still measured from its original
-        // dispatch, so migration cost is inside the number, not hidden.
-        if constexpr (requires { keep.set_dispatch_tsc(source.dispatch_tsc()); }) {
-          keep.set_dispatch_tsc(source.dispatch_tsc());
-          take.set_dispatch_tsc(source.dispatch_tsc());
-        }
-        // Accumulated decomposition stamps migrate too: a slice stolen
-        // twice keeps the transit cycles of both legs, and a fence stall
-        // survives a later migration.
-        if constexpr (requires { keep.set_steal_cycles(source.steal_cycles()); }) {
-          keep.set_steal_cycles(source.steal_cycles());
-          take.set_steal_cycles(source.steal_cycles());
-          keep.set_fence_cycles(source.fence_cycles());
-          take.set_fence_cycles(source.fence_cycles());
-        }
-        for (auto& item : source) {
-          if (chosen.count(ItemKey(item)) != 0) {
-            take.Push(std::move(item));
-          } else {
-            keep.Push(std::move(item));
-          }
-        }
-        result.items += take.size();
-        if (!take.empty()) {
-          result.batches.push_back(std::move(take));
-        }
-        if (!keep.empty()) {
-          rest.push_back(lin::Own<Batch>::Make(std::move(keep)));
-        }
-      }
-      q.swap(rest);
-      result.keys.assign(chosen.begin(), chosen.end());
-      // Repoint the migrated flows, stamped with the current dispatch epoch
-      // for TTL eviction. A key whose hash home IS the thief just falls off
-      // the table (steal-back cancels the migration entry).
-      const std::uint64_t now = dispatch_calls_.load(std::memory_order_relaxed);
-      for (const std::uint64_t key : chosen) {
-        if (HashHome(key) == thief) {
-          migrated_.erase(key);
-        } else {
-          migrated_[key] = Migration{thief, now};
-        }
-      }
-      Republish();
+      // The dispatch-time SLO stamp migrates with each slice: a stolen
+      // batch's delivery latency is still measured from its original
+      // dispatch, so migration cost is inside the number, not hidden.
+      result = MoveFlows(q, [&](std::uint64_t key) {
+        return chosen.count(key) != 0 ? thief : kKeep;
+      });
       commit(result);
     });
     return result;
   }
 
   // Migration-table eviction: erases entries homed at `home` whose last
-  // steal is at least `ttl` Dispatch() calls old, provided `home`'s queue is
+  // move is at least `ttl` Dispatch() calls old, provided `home`'s queue is
   // currently empty. Caller contract: `home`'s worker is idle (it holds no
   // popped batch and no stolen chain) — in practice the worker itself calls
   // this from its idle loop. Safety: single-homing means an evicted flow's
@@ -306,8 +310,7 @@ class BasicRssDispatcher {
   // Returns the number of entries evicted (0 on contention, a closed or
   // non-empty queue, or nothing stale). ttl == 0 disables eviction.
   std::size_t EvictStaleMigrations(std::size_t home, std::uint64_t ttl) {
-    if (!stealing_ || ttl == 0 ||
-        migrated_count_.load(std::memory_order_relaxed) == 0) {
+    if (ttl == 0 || migrated_count_.load(std::memory_order_relaxed) == 0) {
       return 0;
     }
     LINSYS_ASSERT(home < queues_.size(), "worker index out of range");
@@ -323,7 +326,7 @@ class BasicRssDispatcher {
     std::size_t evicted = 0;
     // Under the channel lock for the closed check: a draining queue at
     // shutdown belongs to its owner, and eviction there is pointless.
-    queues_[home]->WithQueueLocked([&](std::deque<lin::Own<Batch>>& q) {
+    queues_[home]->WithQueueLocked([&](std::deque<lin::Own<FlowBatch>>& q) {
       if (!q.empty()) {
         return;
       }
@@ -366,9 +369,6 @@ class BasicRssDispatcher {
   template <typename ExcludedFn>
   std::optional<std::size_t> RehomeWorker(std::size_t victim,
                                           ExcludedFn&& excluded) {
-    LINSYS_ASSERT(stealing_,
-                  "RehomeWorker() on a dispatcher built without the "
-                  "migration table");
     LINSYS_ASSERT(victim < queues_.size(), "worker index out of range");
     LINSYS_ASSERT(queues_.size() > 1, "failover needs a surviving worker");
     std::unique_lock<std::shared_mutex> steer(steer_mu_, std::try_to_lock);
@@ -379,92 +379,30 @@ class BasicRssDispatcher {
     if (!gate.clear()) {
       return std::nullopt;
     }
-    // Extraction under the victim's channel lock: per source sub-batch, one
-    // slice per target worker (preserving the source's flow id for tracing),
-    // in queue order. Excluded (in-flight) flows stay queued at the victim —
-    // the victim itself still drains them, so they are never lost.
-    std::vector<std::pair<std::size_t, Batch>> slices;
-    std::unordered_map<std::uint64_t, std::size_t> flow_target;
-    std::size_t moved_items = 0;
+    // Extraction under the victim's channel lock. Excluded (in-flight)
+    // flows stay queued at the victim — the victim itself still drains
+    // them, so they are never lost. Re-homed slices keep the original
+    // dispatch stamp: the survivor's delivery sample includes the detour.
+    MoveResult moved;
     std::size_t rr = 0;  // round-robin cursor over survivors
     const bool open = queues_[victim]->WithQueueLocked(
-        [&](std::deque<lin::Own<Batch>>& q) {
+        [&](std::deque<lin::Own<FlowBatch>>& q) {
           if (q.empty()) {
             return;
           }
           const std::unordered_set<std::uint64_t> off = excluded();
-          std::deque<lin::Own<Batch>> rest;
-          for (auto& own : q) {
-            Batch source = own.Take();
-            Batch keep;
-            std::vector<Batch> take(queues_.size());
-            if constexpr (requires { keep.set_flow_id(source.flow_id()); }) {
-              keep.set_flow_id(source.flow_id());
-              for (auto& t : take) {
-                t.set_flow_id(source.flow_id());
-              }
+          moved = MoveFlows(q, [&](std::uint64_t key) {
+            if (off.count(key) != 0) {
+              return kKeep;
             }
-            // Failover re-homes keep the original dispatch stamp too: the
-            // survivor's delivery sample includes the resync detour.
-            if constexpr (requires {
-                            keep.set_dispatch_tsc(source.dispatch_tsc());
-                          }) {
-              keep.set_dispatch_tsc(source.dispatch_tsc());
-              for (auto& t : take) {
-                t.set_dispatch_tsc(source.dispatch_tsc());
-              }
+            const std::size_t home = HashHome(key);
+            if (home != victim) {
+              return home;  // flow falls back to its hash home
             }
-            if constexpr (requires {
-                            keep.set_steal_cycles(source.steal_cycles());
-                          }) {
-              keep.set_steal_cycles(source.steal_cycles());
-              keep.set_fence_cycles(source.fence_cycles());
-              for (auto& t : take) {
-                t.set_steal_cycles(source.steal_cycles());
-                t.set_fence_cycles(source.fence_cycles());
-              }
-            }
-            for (auto& item : source) {
-              const std::uint64_t key = ItemKey(item);
-              if (off.count(key) != 0) {
-                keep.Push(std::move(item));
-                continue;
-              }
-              auto [it, fresh] = flow_target.try_emplace(key, 0);
-              if (fresh) {
-                const std::size_t home = HashHome(key);
-                if (home != victim) {
-                  it->second = home;  // flow falls back to its hash home
-                } else {
-                  it->second = (victim + 1 + rr) % queues_.size();
-                  rr = (rr + 1) % (queues_.size() - 1);
-                }
-              }
-              take[it->second].Push(std::move(item));
-              ++moved_items;
-            }
-            for (std::size_t w = 0; w < take.size(); ++w) {
-              if (!take[w].empty()) {
-                slices.emplace_back(w, std::move(take[w]));
-              }
-            }
-            if (!keep.empty()) {
-              rest.push_back(lin::Own<Batch>::Make(std::move(keep)));
-            }
-          }
-          q.swap(rest);
-          // Repoint the table for every moved flow while the victim's lock
-          // still excludes its receive loop.
-          const std::uint64_t now =
-              dispatch_calls_.load(std::memory_order_relaxed);
-          for (const auto& [key, target] : flow_target) {
-            if (HashHome(key) == target) {
-              migrated_.erase(key);
-            } else {
-              migrated_[key] = Migration{target, now};
-            }
-          }
-          Republish();
+            const std::size_t survivor = (victim + 1 + rr) % queues_.size();
+            rr = (rr + 1) % (queues_.size() - 1);
+            return survivor;
+          });
         });
     if (!open) {
       return 0;  // victim channel closed: shutdown owns the drain
@@ -472,12 +410,13 @@ class BasicRssDispatcher {
     // Re-enqueue phase, still under the steer lock + gate (no dispatch can
     // interleave, so nothing lands behind these slices). Channel locks are
     // taken strictly one at a time.
-    for (auto& [w, slice] : slices) {
+    std::size_t moved_items = moved.items;
+    for (std::size_t i = 0; i < moved.batches.size(); ++i) {
+      FlowBatch& slice = moved.batches[i];
       const std::size_t items = slice.size();
-      Batch* slot = &slice;
-      const bool target_open = queues_[w]->WithQueueLocked(
-          [slot](std::deque<lin::Own<Batch>>& q) {
-            q.push_back(lin::Own<Batch>::Make(std::move(*slot)));
+      const bool target_open = queues_[moved.targets[i]]->WithQueueLocked(
+          [&slice](std::deque<lin::Own<FlowBatch>>& q) {
+            q.push_back(lin::Own<FlowBatch>::Make(std::move(slice)));
           });
       if (!target_open) {
         refused_sub_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -502,7 +441,7 @@ class BasicRssDispatcher {
   }
 
   // The worker side: blocking receive of the next steered sub-batch.
-  sfi::Channel<Batch>& queue(std::size_t worker) {
+  sfi::Channel<FlowBatch>& queue(std::size_t worker) {
     LINSYS_ASSERT(worker < queues_.size(), "worker index out of range");
     return *queues_[worker];
   }
@@ -550,9 +489,12 @@ class BasicRssDispatcher {
   }
 
  private:
+  // MoveFlows route answer: leave the flow's items queued where they are.
+  static constexpr std::size_t kKeep = SIZE_MAX;
+
   struct Migration {
     std::size_t home = 0;
-    std::uint64_t epoch = 0;  // dispatch_calls_ at the stamping steal
+    std::uint64_t epoch = 0;  // dispatch_calls_ at the stamping move
   };
   struct FlatEntry {
     std::uint64_t key = 0;
@@ -564,7 +506,7 @@ class BasicRssDispatcher {
   // dispatch is in flight, i.e. the table may be mutated and republished.
   class WriterGate {
    public:
-    explicit WriterGate(BasicRssDispatcher* rss) : rss_(rss) {
+    explicit WriterGate(RssDispatcher* rss) : rss_(rss) {
       rss_->steal_in_progress_.store(true, std::memory_order_seq_cst);
       clear_ =
           rss_->active_dispatches_.load(std::memory_order_seq_cst) == 0;
@@ -575,7 +517,7 @@ class BasicRssDispatcher {
     bool clear() const { return clear_; }
 
    private:
-    BasicRssDispatcher* rss_;
+    RssDispatcher* rss_;
     bool clear_ = false;
   };
 
@@ -613,39 +555,69 @@ class BasicRssDispatcher {
     migrated_count_.store(flat_.size(), std::memory_order_release);
   }
 
-  // Routing + enqueue fan-out shared by every Dispatch path. Safe whenever
-  // a concurrent republish is excluded (stealing off, dispatch gate open,
-  // or steer lock held shared).
-  std::size_t FanOut(Batch batch) {
-    std::vector<Batch> per_worker(queues_.size());
-    for (auto& item : batch) {
-      const std::uint64_t key = FlowKey(item.Tuple());
-      // Cache the key on items that can carry it (FlowWork): the worker's
-      // pop-time publish and the thief's queue scans reuse it instead of
-      // re-hashing the tuple per item.
-      if constexpr (requires { item.set_flow_key(key); }) {
-        item.set_flow_key(key);
+  // The one extraction routine behind Steal and RehomeWorker. Splits the
+  // locked queue `q` by a per-flow route: `route(key)` is asked once per
+  // distinct flow, in first-seen (oldest) order, and names the worker the
+  // flow moves to, or kKeep. Each source sub-batch yields at most one slice
+  // per target, started from the source's stamps; kept items stay queued in
+  // order. Every moved flow is then repointed in the migration table (a flow
+  // moved to its hash home just drops its entry), stamped with the current
+  // dispatch epoch for TTL eviction. Requires the steer lock exclusive, a
+  // clear writer gate, and the queue's channel lock.
+  template <typename RouteFn>
+  MoveResult MoveFlows(std::deque<lin::Own<FlowBatch>>& q, RouteFn&& route) {
+    MoveResult moved;
+    std::unordered_map<std::uint64_t, std::size_t> routes;
+    std::deque<lin::Own<FlowBatch>> rest;
+    for (auto& own : q) {
+      FlowBatch source = own.Take();
+      FlowBatch keep = source.EmptyWithStamps();
+      std::vector<FlowBatch> take(queues_.size(), keep);
+      for (const FlowWork& item : source) {
+        auto [it, fresh] = routes.try_emplace(item.flow_key, kKeep);
+        if (fresh) {
+          it->second = route(item.flow_key);
+        }
+        (it->second == kKeep ? keep : take[it->second]).Push(item);
       }
-      per_worker[RouteKey(key)].Push(std::move(item));
+      for (std::size_t w = 0; w < take.size(); ++w) {
+        if (!take[w].empty()) {
+          moved.items += take[w].size();
+          moved.batches.push_back(std::move(take[w]));
+          moved.targets.push_back(w);
+        }
+      }
+      if (!keep.empty()) {
+        rest.push_back(lin::Own<FlowBatch>::Make(std::move(keep)));
+      }
     }
-    // Flow-id propagation: batch types carrying a dispatch-assigned flow id
-    // (FlowBatch) stamp it onto every per-worker sub-batch, so the id
-    // follows the work across the channel and the worker can re-enter the
-    // flow's trace context. Batch types without one (PacketBatch) compile
-    // this out.
-    if constexpr (requires { per_worker[0].set_flow_id(batch.flow_id()); }) {
-      for (auto& sub : per_worker) {
-        sub.set_flow_id(batch.flow_id());
+    q.swap(rest);
+    const std::uint64_t now = dispatch_calls_.load(std::memory_order_relaxed);
+    for (const auto& [key, target] : routes) {
+      if (target == kKeep) {
+        continue;
+      }
+      moved.keys.push_back(key);
+      if (HashHome(key) == target) {
+        migrated_.erase(key);
+      } else {
+        migrated_[key] = Migration{target, now};
       }
     }
-    // Same for the dispatch-time SLO stamp: every sub-batch inherits the
-    // moment the whole batch entered the runtime.
-    if constexpr (requires {
-                    per_worker[0].set_dispatch_tsc(batch.dispatch_tsc());
-                  }) {
-      for (auto& sub : per_worker) {
-        sub.set_dispatch_tsc(batch.dispatch_tsc());
-      }
+    Republish();
+    return moved;
+  }
+
+  // Routing + enqueue fan-out shared by both Dispatch paths. Safe whenever
+  // a concurrent republish is excluded (dispatch gate open, or steer lock
+  // held shared). Every sub-batch starts from the input batch's stamps, so
+  // the flow id and the dispatch-time SLO stamp follow the work across the
+  // channel; only non-empty sub-batches are sent.
+  std::size_t FanOut(FlowBatch batch) {
+    std::vector<FlowBatch> per_worker(queues_.size(), batch.EmptyWithStamps());
+    for (FlowWork& item : batch) {
+      item.flow_key = FlowKey(item.tuple);
+      per_worker[RouteKey(item.flow_key)].Push(item);
     }
     std::size_t sent = 0;
     for (std::size_t w = 0; w < queues_.size(); ++w) {
@@ -653,8 +625,8 @@ class BasicRssDispatcher {
         continue;
       }
       const std::size_t items = per_worker[w].size();
-      auto result =
-          queues_[w]->Send(lin::Own<Batch>::Make(std::move(per_worker[w])));
+      auto result = queues_[w]->Send(
+          lin::Own<FlowBatch>::Make(std::move(per_worker[w])));
       if (result.ok) {
         sub_batches_steered_.fetch_add(1, std::memory_order_relaxed);
         per_worker_steered_[w].fetch_add(1, std::memory_order_relaxed);
@@ -668,21 +640,20 @@ class BasicRssDispatcher {
   }
 
   std::uint64_t seed_;
-  const bool stealing_;
-  std::vector<std::unique_ptr<sfi::Channel<Batch>>> queues_;
+  std::vector<std::unique_ptr<sfi::Channel<FlowBatch>>> queues_;
   std::atomic<std::uint64_t> dispatch_calls_{0};
   std::atomic<std::uint64_t> sub_batches_steered_{0};
   std::atomic<std::uint64_t> refused_sub_batches_{0};
   std::atomic<std::uint64_t> dropped_items_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::vector<std::atomic<std::uint64_t>> per_worker_steered_;
-  // Steal-migration state. `migrated_` (authoritative, with eviction
-  // epochs) and `flat_` (the sorted snapshot the routing path reads) are
-  // only written under steer_mu_ exclusive AND a clear writer gate, so
-  // gate-protected dispatches read flat_ without any lock. migrated_count_
-  // mirrors flat_.size(): the no-migrations routing path is one relaxed
-  // load per item, and one uncontended RMW pair per Dispatch call for the
-  // gate itself.
+  // Migration state. `migrated_` (authoritative, with eviction epochs) and
+  // `flat_` (the sorted snapshot the routing path reads) are only written
+  // under steer_mu_ exclusive AND a clear writer gate, so gate-protected
+  // dispatches read flat_ without any lock. migrated_count_ mirrors
+  // flat_.size(): the no-migrations routing path is one relaxed load per
+  // item, and one uncontended RMW pair per Dispatch call for the gate
+  // itself.
   mutable std::shared_mutex steer_mu_;
   std::unordered_map<std::uint64_t, Migration> migrated_;
   std::vector<FlatEntry> flat_;
@@ -690,9 +661,6 @@ class BasicRssDispatcher {
   std::atomic<std::uint64_t> active_dispatches_{0};
   std::atomic<bool> steal_in_progress_{false};
 };
-
-// The classic NIC-shaped instantiation: steer already-built packets.
-using RssDispatcher = BasicRssDispatcher<PacketBatch>;
 
 }  // namespace net
 

@@ -96,11 +96,7 @@ std::string RuntimeStats::Summary() const {
 }
 
 Runtime::Runtime(RuntimeConfig config, std::vector<StageSpec> spec)
-    : config_(config),
-      // Live checkpointing arms the dispatcher's migration table too:
-      // failover re-homes flows through it even when stealing is off.
-      rss_(config.workers, config.queue_depth,
-           config.stealing.enabled || config.ckpt.enabled) {
+    : config_(config), rss_(config.workers, config.queue_depth) {
   LINSYS_ASSERT(config_.frame_len >= kPayloadOffset + kFlowSeqBytes,
                 "frame_len too small for the per-flow sequence stamp");
   // One shard per worker: worker w only ever touches cell w, so the packet
@@ -374,29 +370,15 @@ void Runtime::WorkerMain(Worker& w) {
   // Scope per-worker fault plans ("net.worker:<i>/<site>") to this thread.
   util::FaultInjector::SetThreadTag("net.worker:" + std::to_string(w.index));
   auto& queue = rss_.queue(w.index);
-  const bool stealing = config_.stealing.enabled;
-  // Control nudges (empty FlowBatches) and the pop-time in-flight publish
-  // are needed by stealing AND by checkpoint/failover: the checkpoint driver
-  // nudges idle workers to a batch boundary, and failover's re-home reads
-  // popped_flows as its exclusion set.
-  const bool control = stealing || config_.ckpt.enabled;
   // Runs under the channel lock at every dequeue: publishes the popped
-  // sub-batch's flow keys as in flight *atomically with the pop*, so a
-  // thief scanning this queue can never see those flows as neither queued
-  // nor in flight.
-  // No guard_mu here: popped_flows is serialized by the channel lock alone —
-  // this hook runs under it, and so does the thief's off-limits read (inside
-  // Steal's WithQueueLocked on this same channel). The registry is also never
-  // cleared after the batch completes: the next pop overwrites it wholesale,
-  // and until then the stale entries only make a thief skip flows this worker
-  // *recently* held — exclusion is allowed to be a superset. Both choices
-  // keep the per-batch cost to a vector rewrite of pre-computed keys.
+  // sub-batch's fan-out-stamped flow keys as in flight *atomically with the
+  // pop*, so a steal or failover re-home scanning this queue can never see
+  // those flows as neither queued nor in flight. No guard_mu: the channel
+  // lock alone serializes popped_flows (see Worker::popped_flows).
   auto publish = [&w](const FlowBatch& b) {
     w.popped_flows.clear();
     for (const FlowWork& fw : b) {
-      // Fan-out already stamped the flow key on the item; publishing is a
-      // handful of vector appends, not per-item tuple hashing.
-      w.popped_flows.push_back(fw.flow_key());
+      w.popped_flows.push_back(fw.flow_key);
     }
   };
   // With or without stealing, a worker with nothing to do sleeps in a plain
@@ -419,7 +401,7 @@ void Runtime::WorkerMain(Worker& w) {
       // dequeue) is "pop"; a blocked Recv accrues no CPU time, so parked
       // waits do not pollute the pop bucket.
       obs::ScopedProfilerPhase pop_phase(obs::ProfilerPhase::kPop);
-      handle = control ? queue.Recv(publish) : queue.Recv();
+      handle = queue.Recv(publish);
     } catch (const util::PanicError&) {
       // An injected channel.recv fault fires before the dequeue, so the
       // message is still queued: count the fault and take it next iteration.
@@ -440,15 +422,16 @@ void Runtime::WorkerMain(Worker& w) {
     // The measured capture pause stalled *this* batch's delivery, so it is
     // charged to its fence component rather than smeared into service.
     batch.add_fence_cycles(MaybeCaptureCheckpoint(w));
-    if (control && batch.empty()) {
+    if (batch.empty()) {
       // Supervisor steal nudge or checkpoint nudge (real sub-batches are
       // never empty: FanOut only enqueues non-empty per-worker groups). Not
-      // counted as a batch — the dispatch-path counters must stay
-      // byte-identical to a stealing-off run when the gate never opens.
+      // counted as a batch, so the per-worker counters of a run whose steal
+      // gate never opens match a stealing-off run's exactly.
       // Steals AND migration-table eviction stand down behind the
       // checkpoint fence: the captured states and the table must stay
       // mutually consistent for the epoch.
-      if (stealing && !ckpt_fence_.load(std::memory_order_acquire)) {
+      if (config_.stealing.enabled &&
+          !ckpt_fence_.load(std::memory_order_acquire)) {
         if (!TrySteal(w)) {
           // Nothing worth stealing: an idle beat is also the safe moment to
           // expire this worker's stale migration entries (its queue and
@@ -484,11 +467,7 @@ void Runtime::NudgeIdleThieves() {
   const StealConfig& sc = config_.stealing;
   const std::size_t min_depth =
       sc.min_victim_depth == 0 ? 1 : sc.min_victim_depth;
-  std::size_t max_depth = 0;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    max_depth = std::max(max_depth, rss_.queue(i).size());
-  }
-  if (max_depth < min_depth) {
+  if (MaxQueueDepth() < min_depth) {
     return;
   }
   for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -497,10 +476,20 @@ void Runtime::NudgeIdleThieves() {
         rss_.queue(i).size() != 0) {
       continue;
     }
-    // Refused after shutdown (channel closed) — the returned batch carries
-    // no items, so dropping the rejection is loss-free.
-    (void)rss_.queue(i).Send(lin::Own<FlowBatch>::Make(FlowBatch{}));
+    Nudge(i);
   }
+}
+
+void Runtime::Nudge(std::size_t worker) {
+  (void)rss_.queue(worker).Send(lin::Own<FlowBatch>::Make(FlowBatch{}));
+}
+
+std::unordered_set<std::uint64_t> Runtime::InFlightFlows(Worker& w) {
+  std::unordered_set<std::uint64_t> off(w.popped_flows.begin(),
+                                        w.popped_flows.end());
+  std::lock_guard<std::mutex> lock(w.guard_mu);
+  off.insert(w.stolen_flows.begin(), w.stolen_flows.end());
+  return off;
 }
 
 bool Runtime::TrySteal(Worker& w) {
@@ -560,18 +549,8 @@ bool Runtime::TrySteal(Worker& w) {
   const std::uint64_t t0 = util::CycleStart();
   auto result = rss_.Steal(
       victim_idx, w.index,
-      // Off-limits set, read under the victim's channel lock: everything
-      // the victim holds (or recently held — stale entries are a safe
-      // superset) outside its queue. popped_flows is protected by that
-      // channel lock itself; guard_mu covers stolen_flows, which other
-      // thieves write outside it.
-      [&v] {
-        std::unordered_set<std::uint64_t> off(v.popped_flows.begin(),
-                                              v.popped_flows.end());
-        std::lock_guard<std::mutex> lock(v.guard_mu);
-        off.insert(v.stolen_flows.begin(), v.stolen_flows.end());
-        return off;
-      },
+      // Off-limits set: everything the victim holds outside its queue.
+      [&v] { return InFlightFlows(v); },
       // Publish the stolen flows as OUR in-flight set before the steer
       // lock drops: from this instant they route to us, and nobody can
       // re-steal them until we finish the chain.
@@ -881,6 +860,15 @@ void Runtime::SupervisorMain() {
     sup_cv_.wait_for(lock, wait,
                      [this] { return sup_stop_ || fault_pending_; });
     if (sup_stop_) {
+      // Shutdown stops the supervisor only after the workers drained, so a
+      // fault raised during the drain may still be pending here (the wait
+      // can wake to both flags at once). Recover it before exiting, as
+      // Shutdown promises.
+      if (fault_pending_ || recover_requested) {
+        fault_pending_ = false;
+        lock.unlock();
+        (void)RecoveryPass();
+      }
       break;
     }
     if (fault_pending_) {
@@ -1040,7 +1028,7 @@ bool Runtime::CheckpointLive() {
       lock.unlock();
       for (std::size_t i = 0; i < workers_.size(); ++i) {
         if (!seen[i] && rss_.queue(i).size() == 0) {
-          (void)rss_.queue(i).Send(lin::Own<FlowBatch>::Make(FlowBatch{}));
+          Nudge(i);
         }
       }
       lock.lock();
@@ -1119,13 +1107,8 @@ bool Runtime::FailoverWorker(std::size_t victim) {
   Worker& v = *workers_[victim];
   std::size_t rehomed = 0;
   for (int attempt = 0; attempt < 64; ++attempt) {
-    const auto moved = rss_.RehomeWorker(victim, [&v] {
-      std::unordered_set<std::uint64_t> off(v.popped_flows.begin(),
-                                            v.popped_flows.end());
-      std::lock_guard<std::mutex> lock(v.guard_mu);
-      off.insert(v.stolen_flows.begin(), v.stolen_flows.end());
-      return off;
-    });
+    const auto moved =
+        rss_.RehomeWorker(victim, [&v] { return InFlightFlows(v); });
     if (moved.has_value()) {
       rehomed = *moved;
       break;

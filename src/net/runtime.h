@@ -10,7 +10,7 @@
 //     and therefore its own flow state. Nothing is shared between workers
 //     but the steering channels, so there are no locks on the packet path.
 //   * A dispatcher (any producer thread) samples flows and steers *flow
-//     descriptors* through a BasicRssDispatcher<FlowBatch>. Steering
+//     descriptors* (FlowBatch) through an RssDispatcher. Steering
 //     descriptors instead of buffers is what makes the mempool single-owner
 //     contract structural: frames are materialized from — and returned to —
 //     the worker's own pool on the worker's own thread, so cross-thread
@@ -72,80 +72,6 @@
 #include "src/util/stats.h"
 
 namespace net {
-
-// One unit of steered work: which flow, and its per-flow sequence number
-// (stamped into the frame payload so per-flow ordering is observable end to
-// end).
-struct FlowWork {
-  FiveTuple tuple;
-  std::uint64_t seq = 0;
-  // Seeded tuple hash, stamped once by the dispatcher's fan-out (which
-  // computes it anyway to route the item). The worker's pop-time publish
-  // and the thief's queue scans reuse it instead of re-running FNV over the
-  // tuple bytes per item on the hot path.
-  std::uint64_t cached_key = 0;
-
-  const FiveTuple& Tuple() const { return tuple; }
-  std::uint64_t flow_key() const { return cached_key; }
-  void set_flow_key(std::uint64_t key) { cached_key = key; }
-};
-
-// Batch of flow descriptors — the Batch concept BasicRssDispatcher needs.
-class FlowBatch {
- public:
-  FlowBatch() = default;
-  explicit FlowBatch(std::size_t reserve) { work_.reserve(reserve); }
-
-  void Push(FlowWork w) { work_.push_back(w); }
-  std::size_t size() const { return work_.size(); }
-  bool empty() const { return work_.empty(); }
-
-  auto begin() { return work_.begin(); }
-  auto end() { return work_.end(); }
-  auto begin() const { return work_.begin(); }
-  auto end() const { return work_.end(); }
-
-  // Trace-correlation id assigned by Runtime::Dispatch (0 = unassigned).
-  // BasicRssDispatcher copies it onto every per-worker sub-batch, so the
-  // whole fan-out shares one async track.
-  std::uint64_t flow_id() const { return flow_id_; }
-  void set_flow_id(std::uint64_t id) { flow_id_ = id; }
-
-  // Dispatch-time cycle stamp (0 = unstamped), carried through fan-out,
-  // steal slices, and failover re-homing exactly like flow_id, so the
-  // delivery-side read measures true end-to-end latency — including queue
-  // wait and any migration the batch survived — not just pipeline time.
-  std::uint64_t dispatch_tsc() const { return dispatch_tsc_; }
-  void set_dispatch_tsc(std::uint64_t tsc) { dispatch_tsc_ = tsc; }
-
-  // Pop-time cycle stamp (0 = unstamped): when the batch's final home took
-  // it off a queue — handle->Take() on the owning worker, or steal
-  // completion for a stolen slice. Splits delivery latency into its queue
-  // (dispatch→pop) and service (pop→delivery) halves.
-  std::uint64_t pop_tsc() const { return pop_tsc_; }
-  void set_pop_tsc(std::uint64_t tsc) { pop_tsc_ = tsc; }
-
-  // Accumulated cycles this batch spent in steal transit (victim-queue scan
-  // + migration-table update + slice split) before its new home popped it.
-  // Additive: a twice-migrated slice carries both legs.
-  std::uint64_t steal_cycles() const { return steal_cycles_; }
-  void set_steal_cycles(std::uint64_t c) { steal_cycles_ = c; }
-  void add_steal_cycles(std::uint64_t c) { steal_cycles_ += c; }
-
-  // Accumulated cycles the batch stalled behind a raised checkpoint fence
-  // (the capture pause taken between its pop and its processing).
-  std::uint64_t fence_cycles() const { return fence_cycles_; }
-  void set_fence_cycles(std::uint64_t c) { fence_cycles_ = c; }
-  void add_fence_cycles(std::uint64_t c) { fence_cycles_ += c; }
-
- private:
-  std::vector<FlowWork> work_;
-  std::uint64_t flow_id_ = 0;
-  std::uint64_t dispatch_tsc_ = 0;
-  std::uint64_t pop_tsc_ = 0;
-  std::uint64_t steal_cycles_ = 0;
-  std::uint64_t fence_cycles_ = 0;
-};
 
 // Sequence numbers ride in the first 8 payload bytes (host order).
 inline constexpr std::size_t kFlowSeqBytes = 8;
@@ -216,8 +142,7 @@ struct SupervisionConfig {
   std::uint64_t probation_cooldown_max = 1 << 20;
 };
 
-// Work-stealing knobs. Off by default: the hash-pinned fast path is then
-// byte-for-byte the pre-stealing dispatcher.
+// Work-stealing knobs.
 struct StealConfig {
   bool enabled = false;
   // A victim queue must hold at least this many sub-batches to be worth
@@ -268,8 +193,6 @@ struct PacedRxConfig {
 
 // Live checkpointing & failover (Runtime::CheckpointLive/FailoverWorker).
 // Stage state is captured through each worker's protection domains.
-// Arming it also arms the dispatcher's migration table (failover re-homes
-// flows through it) even with stealing off.
 struct CkptConfig {
   bool enabled = false;
   // Backup replicas behind the runtime snapshot (ckpt::ReplicatedState).
@@ -463,9 +386,9 @@ class Runtime {
     return true;
   }
 
-  // Which worker a flow is pinned to. Stable for the runtime's lifetime
-  // when stealing is off; with stealing on, a steal may repoint a flow (the
-  // answer reflects the migration table at call time).
+  // Which worker a flow is pinned to. Stable until a steal or failover
+  // repoints the flow (the answer reflects the migration table at call
+  // time).
   std::size_t WorkerFor(const FiveTuple& tuple) const {
     return rss_.WorkerForTuple(tuple);
   }
@@ -650,6 +573,16 @@ class Runtime {
   // some peer queue reaches min_victim_depth; the worker then runs the
   // gated TrySteal on its own thread.
   void NudgeIdleThieves();
+  // Enqueues an empty FlowBatch — a nudge — on `worker`'s queue, waking it
+  // from a blocking Recv to a batch boundary. Refused after shutdown (the
+  // channel is closed); the refused batch carries no items, so that is
+  // loss-free.
+  void Nudge(std::size_t worker);
+  // The flow keys `w` holds outside its queue: the sub-batch it most
+  // recently popped plus any stolen chain it has not finished. Must be
+  // called under `w`'s channel lock (it reads popped_flows); the off-limits
+  // set for both a steal from `w` and a failover re-home of `w`.
+  static std::unordered_set<std::uint64_t> InFlightFlows(Worker& w);
   void RxMain(FlowFeeder* feeder, std::uint64_t batches);
   std::size_t MaxQueueDepth();
   void SupervisorMain();
@@ -669,7 +602,7 @@ class Runtime {
   std::string HealthzJson();
 
   RuntimeConfig config_;
-  BasicRssDispatcher<FlowBatch> rss_;
+  RssDispatcher rss_;
   // EWMA of the measured cost of one successful steal, in cycles (0 until
   // the first steal; the gate then falls back to
   // StealConfig::steal_cost_seed_cycles). Updated racily by thieves — an

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -108,6 +109,27 @@ TEST(PacketBuf, ReturnsBufferOnDestruction) {
     EXPECT_EQ(pool.in_use(), 1u);
   }
   EXPECT_EQ(pool.in_use(), 0u);
+}
+
+// The slab is not zero-filled at construction, so frame contents must come
+// from the allocation path alone: a slot dirtied by its previous user and
+// re-allocated must still build a clean frame.
+TEST(PacketBuf, BuildFrameOverwritesADirtiedSlot) {
+  Mempool pool(1, 256);
+  {
+    PacketBuf dirty = PacketBuf::Alloc(&pool, 128);
+    ASSERT_TRUE(dirty.has_value());
+    std::memset(dirty.data(), 0xAB, dirty.length());
+  }
+  PacketBuf pkt = PacketBuf::Alloc(&pool, 128);
+  ASSERT_TRUE(pkt.has_value());
+  BuildFrame(pkt, FiveTuple{0x0a000001, 0x0a000002, 1234, 80,
+                            Ipv4Hdr::kProtoUdp});
+  for (std::size_t i = 0; i < pkt.payload_length(); ++i) {
+    ASSERT_EQ(pkt.payload()[i], 0u) << "payload byte " << i;
+  }
+  EXPECT_EQ(InternetChecksum(pkt.ipv4(), sizeof(Ipv4Hdr)), 0)
+      << "IPv4 checksum must be valid over the rebuilt header";
 }
 
 TEST(PacketBuf, MoveTransfersExactlyOneOwner) {

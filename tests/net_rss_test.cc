@@ -1,6 +1,6 @@
-// RSS dispatcher: flow-to-worker affinity, packet conservation across the
-// zero-copy handoff, counter semantics, backpressure, shutdown, and a real
-// multi-threaded run with per-worker NFs.
+// RSS dispatcher: flow-to-worker affinity, item conservation across the
+// zero-copy handoff, counter semantics, backpressure, shutdown, work
+// stealing, and a real multi-threaded run with per-worker NFs.
 #include "src/net/rss.h"
 
 #include <gtest/gtest.h>
@@ -17,52 +17,47 @@
 
 #include "src/net/mempool.h"
 #include "src/net/operators/nat.h"
+#include "src/net/packet.h"
 #include "src/net/pktgen.h"
-#include "src/net/runtime.h"  // FlowBatch/FlowWork for bufferless steering
+#include "src/net/runtime.h"  // FlowFeeder
 #include "src/util/panic.h"
 
 namespace net {
 namespace {
 
-PacketBatch Traffic(Mempool& pool, std::uint64_t seed, std::size_t n,
-                    std::size_t flows = 64) {
-  PktSourceConfig cfg;
-  cfg.flow_count = flows;
-  cfg.seed = seed;
-  PktSource src(&pool, cfg);
-  PacketBatch batch(n);
-  src.RxBurst(batch, n);
-  return batch;
+// `n` flow descriptors drawn uniformly from `flows` flows.
+FlowBatch Traffic(std::uint64_t seed, std::size_t n, std::size_t flows = 64) {
+  FlowSampler sampler(flows, 0.0, seed);
+  FlowFeeder feeder(&sampler);
+  return feeder.Next(n);
 }
 
 TEST(Rss, AllPacketsReachExactlyOneWorker) {
-  Mempool pool(512, 2048);
   RssDispatcher rss(4, /*queue_depth=*/0);
-  rss.Dispatch(Traffic(pool, 1, 256));
+  rss.Dispatch(Traffic(1, 256));
   rss.Shutdown();
-  EXPECT_EQ(pool.in_use(), 256u) << "packets alive in worker queues";
 
   std::size_t total = 0;
   for (std::size_t w = 0; w < rss.worker_count(); ++w) {
-    while (auto batch = rss.queue(w).TryRecv()) {
-      total += (*batch).Borrow()->size();
-      // the Own<PacketBatch> drops here, returning its buffers
+    while (auto handle = rss.queue(w).TryRecv()) {
+      const FlowBatch batch = (*handle).Take();
+      for (const FlowWork& fw : batch) {
+        EXPECT_EQ(rss.WorkerForTuple(fw.tuple), w) << "item on a foreign queue";
+      }
+      total += batch.size();
     }
   }
   EXPECT_EQ(total, 256u) << "conservation across the handoff";
-  EXPECT_EQ(pool.in_use(), 0u) << "drained batches returned their buffers";
 }
 
 TEST(Rss, FlowAffinityIsStable) {
-  Mempool pool(4096, 2048);
   RssDispatcher rss(8);
-  // The same flow must map to the same worker on every packet.
-  PacketBatch batch = Traffic(pool, 2, 512);
-  std::map<std::uint32_t, std::size_t> flow_to_worker;
-  for (PacketBuf& pkt : batch) {
-    const auto src_ip = pkt.Tuple().src_ip;
-    const std::size_t worker = rss.WorkerFor(pkt);
-    auto [it, inserted] = flow_to_worker.emplace(src_ip, worker);
+  // The same flow must map to the same worker on every item.
+  const FlowBatch batch = Traffic(2, 512);
+  std::map<std::uint64_t, std::size_t> flow_to_worker;
+  for (const FlowWork& fw : batch) {
+    const std::size_t worker = rss.WorkerForTuple(fw.tuple);
+    auto [it, inserted] = flow_to_worker.emplace(rss.FlowKey(fw.tuple), worker);
     if (!inserted) {
       EXPECT_EQ(it->second, worker) << "flow split across workers";
     }
@@ -76,11 +71,10 @@ TEST(Rss, FlowAffinityIsStable) {
 }
 
 TEST(Rss, DispatcherCannotTouchSteeredBatches) {
-  Mempool pool(64, 2048);
   RssDispatcher rss(1, 0);
-  PacketBatch batch = Traffic(pool, 3, 8);
+  FlowBatch batch = Traffic(3, 8);
   rss.Dispatch(std::move(batch));
-  // The moved-from batch is empty; the packets now belong to the worker.
+  // The moved-from batch is empty; the items now belong to the worker.
   EXPECT_EQ(batch.size(), 0u);
   auto received = rss.queue(0).TryRecv();
   ASSERT_TRUE(received.has_value());
@@ -88,12 +82,11 @@ TEST(Rss, DispatcherCannotTouchSteeredBatches) {
 }
 
 TEST(Rss, BatchesSteeredCountsDispatchCallsNotSubBatches) {
-  Mempool pool(512, 2048);
   RssDispatcher rss(4, /*queue_depth=*/0);
   // One input batch with many flows fans out into up to 4 sub-batches; the
   // input-batch counter must still read 1 (it used to over-report by
   // counting the fan-out).
-  rss.Dispatch(Traffic(pool, 7, 128));
+  rss.Dispatch(Traffic(7, 128));
   EXPECT_EQ(rss.batches_steered(), 1u);
   EXPECT_GE(rss.sub_batches_steered(), 1u);
   EXPECT_LE(rss.sub_batches_steered(), 4u);
@@ -103,7 +96,7 @@ TEST(Rss, BatchesSteeredCountsDispatchCallsNotSubBatches) {
   }
   EXPECT_EQ(per_worker_sum, rss.sub_batches_steered());
 
-  rss.Dispatch(Traffic(pool, 8, 128));
+  rss.Dispatch(Traffic(8, 128));
   EXPECT_EQ(rss.batches_steered(), 2u);
 
   rss.Shutdown();
@@ -115,13 +108,13 @@ TEST(Rss, BatchesSteeredCountsDispatchCallsNotSubBatches) {
 
 TEST(Rss, ConcurrentDispatchKeepsAffinityAndExactCounters) {
   // Two producers steer flow descriptors concurrently (descriptors, not
-  // buffers: mempools are single-owner, so the bufferless FlowBatch flavour
-  // is the one that legitimately admits multi-producer dispatch).
+  // buffers: mempools are single-owner, so only a bufferless batch
+  // legitimately admits multi-producer dispatch).
   constexpr std::size_t kWorkers = 4;
   constexpr int kBatchesPerProducer = 100;
   constexpr std::size_t kBatchSize = 32;
 
-  BasicRssDispatcher<FlowBatch> rss(kWorkers, /*queue_depth=*/0);
+  RssDispatcher rss(kWorkers, /*queue_depth=*/0);
 
   std::atomic<std::size_t> received{0};
   std::atomic<bool> misrouted{false};
@@ -172,7 +165,7 @@ TEST(Rss, ConcurrentDispatchKeepsAffinityAndExactCounters) {
 TEST(Rss, BackpressureBlocksDispatchAtQueueDepth) {
   // One worker, depth 2, nobody draining: the first two dispatches fill the
   // ring, the third must block until a slot frees up.
-  BasicRssDispatcher<FlowBatch> rss(1, /*queue_depth=*/2);
+  RssDispatcher rss(1, /*queue_depth=*/2);
   FlowSampler sampler(8, 0.0, 5);
   FlowFeeder feeder(&sampler);
   rss.Dispatch(feeder.Next(4));
@@ -222,49 +215,45 @@ TEST(Rss, MultiThreadedWorkersProcessEverything) {
   constexpr int kBatches = 50;
   constexpr std::size_t kBatchSize = 32;
 
-  Mempool pool(4096, 2048);
   RssDispatcher rss(kWorkers, /*queue_depth=*/16);
 
-  // The pool is owned by this (dispatching) thread, so workers must not
-  // destroy packets: they process and *stash* the batches, and the owning
-  // thread reclaims the buffers after the workers are done (mempool.h's
-  // single-owner contract; net::Runtime avoids the stash by giving every
-  // worker its own pool and steering descriptors instead).
+  // Each worker materializes frames from its own pool on its own thread
+  // (mempool.h's single-owner contract, as in net::Runtime) and runs them
+  // through its own NF replica.
   std::atomic<std::size_t> processed{0};
-  std::vector<std::vector<PacketBatch>> stashes(kWorkers);
   std::vector<std::thread> workers;
   for (std::size_t w = 0; w < kWorkers; ++w) {
-    workers.emplace_back([&rss, &processed, &stashes, w] {
+    workers.emplace_back([&rss, &processed, w] {
+      Mempool pool(64, 2048);
       NatRewrite nat(0x05050505);  // per-worker state: no locks needed
       while (auto handle = rss.queue(w).Recv()) {
-        PacketBatch batch = handle->Take();
-        PacketBatch out = nat.Process(std::move(batch));
-        processed += out.size();
-        stashes[w].push_back(std::move(out));
+        const FlowBatch flows = handle->Take();
+        PacketBatch batch(flows.size());
+        for (const FlowWork& fw : flows) {
+          PacketBuf pkt = PacketBuf::Alloc(&pool, 64);
+          BuildFrame(pkt, fw.tuple);
+          batch.Push(std::move(pkt));
+        }
+        processed += nat.Process(std::move(batch)).size();
       }
     });
   }
 
   for (int i = 0; i < kBatches; ++i) {
-    rss.Dispatch(Traffic(pool, 100 + static_cast<std::uint64_t>(i),
-                         kBatchSize));
+    rss.Dispatch(Traffic(100 + static_cast<std::uint64_t>(i), kBatchSize));
   }
   rss.Shutdown();
   for (auto& worker : workers) {
     worker.join();
   }
   EXPECT_EQ(processed.load(), kBatches * kBatchSize);
-  EXPECT_EQ(pool.in_use(), kBatches * kBatchSize)
-      << "buffers still alive in the stashes";
-  stashes.clear();  // owner thread returns every buffer
-  EXPECT_EQ(pool.in_use(), 0u) << "all buffers returned after processing";
 }
 
 // Silent-loss bugfix: a sub-batch refused by a closed worker channel used
 // to disappear without a trace (`sent < expected` was invisible). The
 // refusal and its item count are now first-class counters.
 TEST(Rss, DispatchAfterShutdownCountsRefusalsAndDroppedItems) {
-  BasicRssDispatcher<FlowBatch> rss(2, /*queue_depth=*/0);
+  RssDispatcher rss(2, /*queue_depth=*/0);
   FlowSampler sampler(16, 0.0, 9);
   FlowFeeder feeder(&sampler);
   EXPECT_GE(rss.Dispatch(feeder.Next(32)), 1u);
@@ -288,7 +277,7 @@ TEST(Rss, DispatchAfterShutdownCountsRefusalsAndDroppedItems) {
 // chosen flow, in order), repoints them in the migration table, and leaves
 // nothing of a stolen flow behind on the victim.
 TEST(Rss, StealMovesWholeFlowsRepointsHomeAndKeepsFifo) {
-  BasicRssDispatcher<FlowBatch> rss(2, /*queue_depth=*/0, /*stealing=*/true);
+  RssDispatcher rss(2, /*queue_depth=*/0);
   FlowSampler sampler(32, 0.0, 11);
   FlowFeeder feeder(&sampler);
   std::size_t dispatched = 0;
@@ -353,7 +342,7 @@ TEST(Rss, StealMovesWholeFlowsRepointsHomeAndKeepsFifo) {
 // The off-limits set (the victim's in-flight flows) is honoured: a steal
 // never touches an excluded flow, and excluding everything yields nothing.
 TEST(Rss, StealSkipsExcludedFlows) {
-  BasicRssDispatcher<FlowBatch> rss(2, /*queue_depth=*/0, /*stealing=*/true);
+  RssDispatcher rss(2, /*queue_depth=*/0);
   FlowSampler sampler(32, 0.0, 13);
   FlowFeeder feeder(&sampler);
   for (int i = 0; i < 4; ++i) {
@@ -393,7 +382,7 @@ TEST(Rss, MigrationTableEvictsQuietFlows) {
   constexpr std::size_t kRounds = 8;
   constexpr std::size_t kFlowsPerRound = 16;
   constexpr std::uint64_t kTtl = 4;  // dispatches per round below
-  BasicRssDispatcher<FlowBatch> rss(2, /*queue_depth=*/0, /*stealing=*/true);
+  RssDispatcher rss(2, /*queue_depth=*/0);
 
   auto drain = [&rss] {
     for (std::size_t w = 0; w < rss.worker_count(); ++w) {

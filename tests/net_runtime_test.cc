@@ -458,12 +458,19 @@ std::vector<FiveTuple> FlowsPinnedTo(const Runtime& rt, std::size_t worker,
 }
 
 // Burns wall-clock per batch on selected replicas so a dispatched backlog
-// persists long enough for idle peers to steal it.
+// persists long enough for idle peers to steal it. With a `hold` latch, each
+// batch first waits until the latch is set, so the backlog persists until
+// the test releases it.
 class SpinStage : public Operator {
  public:
-  explicit SpinStage(std::chrono::microseconds per_batch) : per_batch_(per_batch) {}
+  explicit SpinStage(std::chrono::microseconds per_batch,
+                     const std::atomic<bool>* hold = nullptr)
+      : per_batch_(per_batch), hold_(hold) {}
 
   PacketBatch Process(PacketBatch batch) override {
+    while (hold_ != nullptr && !hold_->load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
     const auto until = std::chrono::steady_clock::now() + per_batch_;
     while (std::chrono::steady_clock::now() < until) {
     }
@@ -474,6 +481,7 @@ class SpinStage : public Operator {
 
  private:
   std::chrono::microseconds per_batch_;
+  const std::atomic<bool>* hold_;
 };
 
 // Deterministic feeder over a fixed flow list: each batch carries ONE
@@ -712,13 +720,17 @@ TEST(Runtime, UniformLoadWithClosedGateCountsSkippedSteals) {
   cfg.supervision.watchdog_period_ms = 2;  // several nudges per backlog
   std::vector<StageSpec> spec;
   // Worker 0 is the fast one: it drains its share quickly, goes idle, and
-  // then repeatedly sizes up its slow peers' backlogs.
+  // then repeatedly sizes up its slow peers' backlogs. The slow peers are
+  // held on a latch until it has done so at least once, so their backlogs
+  // cannot drain before a nudge lands.
+  std::atomic<bool> release{false};
   spec.push_back(
-      {"uneven", [](std::size_t worker) -> std::unique_ptr<Operator> {
+      {"uneven", [&release](std::size_t worker) -> std::unique_ptr<Operator> {
          if (worker == 0) {
            return std::make_unique<NullFilter>();
          }
-         return std::make_unique<SpinStage>(std::chrono::microseconds(20));
+         return std::make_unique<SpinStage>(std::chrono::microseconds(20),
+                                            &release);
        }});
   Runtime rt(cfg, spec);
   rt.Start();
@@ -728,6 +740,15 @@ TEST(Runtime, UniformLoadWithClosedGateCountsSkippedSteals) {
   for (int i = 0; i < kBatches; ++i) {
     rt.Dispatch(feeder.Next(kBatchSize));
   }
+  // Polled through the registry, not Stats(): Stats() takes every worker's
+  // pipeline mutex, which a held worker keeps for as long as it waits. The
+  // wait is bounded; if it runs out, the steals_skipped check below fails.
+  const obs::Counter* skipped =
+      rt.registry().GetCounter("runtime.steal_skipped_total", kWorkers);
+  for (int i = 0; i < 5000 && skipped->Value() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  release.store(true, std::memory_order_release);
   for (int i = 0; i < 5000; ++i) {
     if (rt.Stats().totals.packets >= kBatches * kBatchSize) {
       break;
