@@ -25,8 +25,6 @@
 #define LINSYS_SRC_IFC_AN_ABSTRACT_H_
 
 #include <map>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -83,59 +81,14 @@ class IfcAnalyzer {
   TagTable& tags() { return tags_; }
 
  private:
-  // Abstract environment: one label cell per variable, or per (variable,
-  // field) for structs. Key "x" or "x.f".
-  using Env = std::map<std::string, Label>;
-
-  struct FrameResult {
-    Label return_label;
-  };
-
-  // Analyzes a function body. `env` is pre-seeded with parameter cells.
-  FrameResult AnalyzeFunction(const ril::FnDecl& fn, Env& env, Label pc,
-                              int depth);
-  void AnalyzeBlock(const ril::Block& block, Env& env, Label pc, int depth,
-                    Label* ret, const ril::FnDecl& fn);
-  void AnalyzeStmt(const ril::Stmt& stmt, Env& env, Label pc, int depth,
-                   Label* ret, const ril::FnDecl& fn);
-  Label EvalExpr(const ril::Expr& expr, Env& env, Label pc, int depth);
-  Label EvalCall(const ril::Expr& expr, const ril::CallExpr& call, Env& env,
-                 Label pc, int depth);
-
-  // Label cell helpers. Reading a whole struct joins its field cells;
-  // writing a whole value strong-updates all cells of the place.
-  Label ReadPlace(const ril::Expr& place, Env& env);
-  void WritePlace(const ril::Expr& place, const Label& label, Env& env);
-  void JoinPlace(const ril::Expr& place, const Label& label, Env& env);
-  // Canonical cell key for a place ("x" or "x.f"), nullopt for non-places.
-  std::optional<std::string> PlaceKey(const ril::Expr& place) const;
-  // Seeds the cells of variable `name` of type `type` with `label`.
-  void SeedVar(const std::string& name, const ril::Type& type,
-               const Label& label, Env& env);
-
-  const FnSummary& SummaryOf(const ril::FnDecl& fn);
-  // Substitutes actual argument labels for parameter atoms.
-  static Label Substitute(const Label& symbolic,
-                          const std::vector<Label>& args);
-
-  Label SinkBound(const std::string& sink);
-  void Error(int line, int col, std::string message) {
-    if (report_) {
-      diags_->Error(ril::Phase::kIfc, line, col, std::move(message));
-    }
-  }
-
-  static Env JoinEnv(const Env& a, const Env& b);
+  // The label domain over the shared driver (driver.h); one per Verify().
+  class Walk;
 
   const ril::Program* program_;
   ril::Diagnostics* diags_;
   Mode mode_;
   TagTable tags_;
   std::map<std::string, FnSummary> summaries_;
-  std::set<std::string> in_progress_;       // summary recursion detection
-  std::vector<std::string> summary_stack_;  // innermost summary last
-  bool report_ = true;
-  static constexpr int kMaxInlineDepth = 64;
 };
 
 }  // namespace ifc

@@ -9,15 +9,16 @@
 // analyzer's back. The verifier proves:
 //   * check_range(x, lo, hi) builtin calls — x ∈ [lo, hi] on every path;
 //   * absence of division by zero (the divisor's interval excludes 0).
-// Loops use widening-to-infinity after a few unrolled iterations, then one
-// narrowing pass, the textbook Cousot recipe.
+// RIL ints are int64 and an operation that overflows traps (as in Rust debug
+// builds), so a proof covers every run that reaches the check; a run may
+// still stop earlier on an overflow or an out-of-bounds index. Loops unroll
+// a few iterations and then widen. The traversal is the one the IFC
+// analysis uses (driver.h).
 #ifndef LINSYS_SRC_IFC_AN_INTERVALS_H_
 #define LINSYS_SRC_IFC_AN_INTERVALS_H_
 
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <optional>
 #include <string>
 
 #include "src/ifc/ril/ast.h"
@@ -25,26 +26,32 @@
 
 namespace ifc {
 
-// A (possibly unbounded, possibly empty) integer interval.
+// A (possibly unbounded, possibly empty) integer interval. Bounds are held
+// in 128 bits with the infinities far outside int64, so every int64 value,
+// INT64_MAX included, is finite. The algebra computes on the extended
+// integer line, saturating at the infinities; the verifier clips each
+// result to int64 (see Int64()).
 struct Interval {
-  static constexpr std::int64_t kNegInf =
-      std::numeric_limits<std::int64_t>::min();
-  static constexpr std::int64_t kPosInf =
-      std::numeric_limits<std::int64_t>::max();
+  __extension__ typedef __int128 Bound;
+  static constexpr Bound kNegInf = -(Bound(1) << 100);
+  static constexpr Bound kPosInf = Bound(1) << 100;
 
-  std::int64_t lo = kNegInf;
-  std::int64_t hi = kPosInf;
+  Bound lo = kNegInf;
+  Bound hi = kPosInf;
 
   static Interval Top() { return Interval{}; }
   static Interval Bottom() { return Interval{1, 0}; }  // empty (lo > hi)
-  static Interval Const(std::int64_t c) { return Interval{c, c}; }
-  static Interval Range(std::int64_t lo, std::int64_t hi) {
-    return Interval{lo, hi};
+  static Interval Const(Bound c) { return Interval{c, c}; }
+  static Interval Range(Bound lo, Bound hi) { return Interval{lo, hi}; }
+  // Every value a RIL int can hold.
+  static Interval Int64() {
+    return Interval{std::numeric_limits<std::int64_t>::min(),
+                    std::numeric_limits<std::int64_t>::max()};
   }
 
   bool IsBottom() const { return lo > hi; }
   bool IsTop() const { return lo == kNegInf && hi == kPosInf; }
-  bool Contains(std::int64_t v) const { return lo <= v && v <= hi; }
+  bool Contains(Bound v) const { return lo <= v && v <= hi; }
   bool Within(const Interval& bound) const {
     return IsBottom() || (lo >= bound.lo && hi <= bound.hi);
   }

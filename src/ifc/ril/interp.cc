@@ -1,5 +1,7 @@
 #include "src/ifc/ril/interp.h"
 
+#include <limits>
+#include <string>
 #include <utility>
 
 #include "src/ifc/ril/types.h"
@@ -27,6 +29,41 @@ ifc::Label ObservedTaint(const Value& value) {
     }
   }
   return label;
+}
+
+// RIL ints are int64 with Rust's debug-build semantics: an operation whose
+// result does not fit (including INT64_MIN / -1 and INT64_MIN % -1) traps.
+std::int64_t Arith(const Expr& expr, TokKind op, std::int64_t a,
+                   std::int64_t b) {
+  std::int64_t out = 0;
+  bool overflow = false;
+  switch (op) {
+    case TokKind::kPlus:
+      overflow = __builtin_add_overflow(a, b, &out);
+      break;
+    case TokKind::kMinus:
+      overflow = __builtin_sub_overflow(a, b, &out);
+      break;
+    case TokKind::kStar:
+      overflow = __builtin_mul_overflow(a, b, &out);
+      break;
+    default:  // kSlash, kPercent
+      if (b == 0) {
+        throw RuntimeError(expr.line, expr.col, "division by zero");
+      }
+      overflow = a == std::numeric_limits<std::int64_t>::min() && b == -1;
+      if (!overflow) {
+        out = op == TokKind::kSlash ? a / b : a % b;
+      }
+      break;
+  }
+  if (overflow) {
+    throw RuntimeError(expr.line, expr.col,
+                       "integer overflow: " + std::to_string(a) + " " +
+                           std::string(TokKindName(op)) + " " +
+                           std::to_string(b));
+  }
+  return out;
 }
 
 }  // namespace
@@ -302,7 +339,7 @@ Value Interpreter::EvalExpr(const Expr& expr, ifc::Label pc) {
   if (const auto* un = expr.As<UnaryExpr>()) {
     Value v = EvalExpr(*un->operand, pc);
     if (un->op == TokKind::kMinus) {
-      Value out(-v.AsInt());
+      Value out(Arith(expr, TokKind::kMinus, 0, v.AsInt()));
       out.taint = v.taint;
       return out;
     }
@@ -330,21 +367,11 @@ Value Interpreter::EvalExpr(const Expr& expr, ifc::Label pc) {
     Value out;
     switch (bin->op) {
       case TokKind::kPlus:
-        out = Value(lhs.AsInt() + rhs.AsInt());
-        break;
       case TokKind::kMinus:
-        out = Value(lhs.AsInt() - rhs.AsInt());
-        break;
       case TokKind::kStar:
-        out = Value(lhs.AsInt() * rhs.AsInt());
-        break;
       case TokKind::kSlash:
       case TokKind::kPercent:
-        if (rhs.AsInt() == 0) {
-          throw RuntimeError(expr.line, expr.col, "division by zero");
-        }
-        out = Value(bin->op == TokKind::kSlash ? lhs.AsInt() / rhs.AsInt()
-                                               : lhs.AsInt() % rhs.AsInt());
+        out = Value(Arith(expr, bin->op, lhs.AsInt(), rhs.AsInt()));
         break;
       case TokKind::kEq:
       case TokKind::kNe: {

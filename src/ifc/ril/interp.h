@@ -31,7 +31,7 @@ struct EmitRecord {
 };
 
 // Thrown for runtime faults: use of moved value, index out of bounds,
-// division by zero, step-limit exceeded.
+// division by zero, integer overflow, step-limit exceeded.
 class RuntimeError : public std::exception {
  public:
   RuntimeError(int line, int col, std::string message)

@@ -12,7 +12,8 @@
 //
 // Restrictions (diagnosed, not UB): references only in function parameters
 // and borrow arguments; no variable shadowing; field access one level deep;
-// no recursion (enforced by the IFC inliner, see abstract.cc).
+// no recursion (enforced by the analyses: the inline depth limit in
+// an/driver.h, the summary recursion check in an/abstract.cc).
 #ifndef LINSYS_SRC_IFC_RIL_TYPES_H_
 #define LINSYS_SRC_IFC_RIL_TYPES_H_
 

@@ -28,7 +28,7 @@ namespace obs {
 
 namespace internal {
 std::atomic<bool> g_prof_armed{false};
-thread_local ProfThreadContext* g_prof_ctx = nullptr;
+constinit thread_local ProfThreadContext* g_prof_ctx = nullptr;
 }  // namespace internal
 
 const char* ProfilerPhaseName(ProfilerPhase p) {

@@ -68,8 +68,9 @@ struct ProfThreadContext {
   std::atomic<std::uint64_t> flow{0};
 };
 
-// Null until the thread calls Profiler::RegisterThisThread.
-extern thread_local ProfThreadContext* g_prof_ctx;
+// Null until the thread calls Profiler::RegisterThisThread. constinit, as
+// g_current_flow in trace.h.
+extern constinit thread_local ProfThreadContext* g_prof_ctx;
 
 }  // namespace internal
 

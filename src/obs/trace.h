@@ -62,7 +62,9 @@ struct TraceEvent {
 // the stack (sfi crossings, recovery, histogram exemplars) can tag what it
 // records with *which* flow it happened to. 0 means "no flow context".
 namespace internal {
-extern thread_local std::uint64_t g_current_flow;
+// constinit: no dynamic initializer, so other translation units read it
+// directly instead of through a TLS wrapper call.
+extern constinit thread_local std::uint64_t g_current_flow;
 }  // namespace internal
 
 // Process-unique flow ids (monotone, never 0). Cheap: one relaxed RMW.

@@ -158,6 +158,44 @@ TEST(Interp, DivisionByZeroIsRuntimeError) {
   EXPECT_TRUE(r.run_diags.Contains(Phase::kRuntime, "division by zero"));
 }
 
+// RIL ints are int64 with Rust debug-build semantics: overflow traps.
+TEST(Interp, SignedOverflowIsRuntimeError) {
+  // ROADMAP item 6: the product wraps to INT64_MIN on host arithmetic; the
+  // run must stop at the overflow, not at the check.
+  RunResult big = RunProgram(R"(
+    fn main() {
+      let big = 4611686018427387904;
+      let x = big * 2;
+      let z = check_range(x, 1, 9223372036854775807);
+      emit(stdout, z);
+    }
+  )");
+  EXPECT_FALSE(big.ran_ok);
+  EXPECT_TRUE(big.run_diags.Contains(Phase::kRuntime, "integer overflow"))
+      << big.run_diags.ToString();
+  EXPECT_FALSE(big.run_diags.Contains(Phase::kRuntime, "check_range"));
+  EXPECT_TRUE(big.outputs.empty());
+
+  const char* kMin = "(0 - 9223372036854775807 - 1)";
+  for (const std::string& e :
+       {std::string("9223372036854775807 + 1"), std::string(kMin) + " - 1",
+        std::string("4611686018427387904 * 2"),
+        std::string(kMin) + " / (0 - 1)", std::string(kMin) + " % (0 - 1)",
+        "-" + std::string(kMin)}) {
+    RunResult r = RunProgram("fn main() { let x = " + e + "; }");
+    EXPECT_FALSE(r.ran_ok) << e;
+    EXPECT_TRUE(r.run_diags.Contains(Phase::kRuntime, "integer overflow"))
+        << e << ": " << r.run_diags.ToString();
+  }
+  RunResult edge = RunProgram(
+      std::string("fn main() { emit(stdout, ") + kMin + "); emit(stdout, " +
+      kMin + " / 2); emit(stdout, 9223372036854775807 - 1); }");
+  ASSERT_TRUE(edge.ran_ok) << edge.run_diags.ToString();
+  EXPECT_EQ(edge.outputs[0].rendered, "-9223372036854775808");
+  EXPECT_EQ(edge.outputs[1].rendered, "-4611686018427387904");
+  EXPECT_EQ(edge.outputs[2].rendered, "9223372036854775806");
+}
+
 TEST(Interp, StepLimitStopsRunawayLoops) {
   Diagnostics diags;
   ifc::AnalysisResult a = ifc::AnalyzeSource(
